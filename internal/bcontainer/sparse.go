@@ -216,10 +216,10 @@ type SparseRow[T any] struct {
 // codec: row varint, entry count, delta-compressed ascending columns, then
 // the values.  Decoding validates the structure (monotone columns, sane
 // counts) so corrupt frames fail sticky instead of building broken rows.
+// The row crosses by value iff its elements do.
 func SparseRowCodec[T any](elem transport.Codec[T]) transport.Codec[SparseRow[T]] {
-	return transport.Codec[SparseRow[T]]{
-		Name: "bcontainer.sparse-row[" + elem.Name + "]",
-		Encode: func(b *transport.Buffer, v SparseRow[T]) {
+	return transport.Derive("bcontainer.sparse-row["+elem.Name+"]",
+		func(b *transport.Buffer, v SparseRow[T]) {
 			b.PutVarint(v.Row)
 			b.PutUvarint(uint64(len(v.Cols)))
 			prev := int64(0)
@@ -235,7 +235,7 @@ func SparseRowCodec[T any](elem transport.Codec[T]) transport.Codec[SparseRow[T]
 				elem.Encode(b, x)
 			}
 		},
-		Decode: func(b *transport.Buffer) SparseRow[T] {
+		func(b *transport.Buffer) SparseRow[T] {
 			row := b.Varint()
 			n := b.Uvarint()
 			if n > uint64(b.Remaining()) {
@@ -266,12 +266,17 @@ func SparseRowCodec[T any](elem transport.Codec[T]) transport.Codec[SparseRow[T]
 			}
 			return SparseRow[T]{Row: row, Cols: cols, Vals: vals}
 		},
-	}
+		elem)
 }
 
-// EncodedRowBytes returns the exact wire size of one row under codec c (the
-// byte-accounting hook sparse migration specs use).
+// EncodedRowBytes returns the size one row is accounted at under codec c (the
+// byte-accounting hook sparse migration specs use): its exact wire size, so
+// the counters report real compressed bytes, or — when T has no wire form and
+// the row only ever crosses by reference — its in-memory CSR footprint.
 func EncodedRowBytes[T any](c transport.Codec[SparseRow[T]], scratch *transport.Buffer, v SparseRow[T]) int {
+	if !c.ByValue() {
+		return 8 + 16*len(v.Cols)
+	}
 	scratch.Reset(scratch.Bytes()[:0])
 	c.Encode(scratch, v)
 	return scratch.Len()

@@ -1,57 +1,29 @@
 package parray
 
 import (
-	"reflect"
-	"sync"
-
 	"repro/internal/bcontainer"
 	"repro/internal/core"
 	"repro/internal/runtime"
 	"repro/internal/transport"
 )
 
-// The pArray's element methods route through REGISTERED operations whenever
-// the element type has a wire codec (transport.RegisterTyped): the request
-// then travels as a self-decoding frame — op ID plus encoded (index, value)
-// — executable in a process that shares only the program binary, instead of
-// a closure resolvable only through the sender's rendezvous table.  Element
-// types without a codec keep the original closure paths unchanged.
+// The pArray's element methods (Set/Get/GetSplit/SetBulk/GetBulk) are
+// registered operations: a request is an op ID plus a pooled (index, value)
+// record, and when the element type has a wire codec (transport.RegisterTyped)
+// it is executable in a process that shares only the program binary.
 //
 // One registration serves every pArray instantiated at the same element
-// type: the operation name is derived from the codec name (stable across
-// processes and registration order), and the per-type result is cached so a
-// second array at the same T reuses it instead of tripping the registry's
-// duplicate-name panic.
-
-var (
-	elemOpsMu  sync.Mutex
-	elemOpsReg = map[reflect.Type]any{} // *core.ElemOps[...] per T; nil when T has no codec
-)
-
-// elemOpsFor returns the registered element operations for element type T,
-// or nil when T has no typed codec (closure fallback).
+// type; the operation name derives from the codec name (stable across
+// processes and registration order).
 func elemOpsFor[T any]() *core.ElemOps[int64, *bcontainer.Array[T], T] {
-	t := reflect.TypeOf((*T)(nil)).Elem()
-	elemOpsMu.Lock()
-	defer elemOpsMu.Unlock()
-	if v, ok := elemOpsReg[t]; ok {
-		if v == nil {
-			return nil
-		}
-		return v.(*core.ElemOps[int64, *bcontainer.Array[T], T])
-	}
-	codec, ok := transport.TypedCodecFor[T]()
-	if !ok {
-		elemOpsReg[t] = nil
-		return nil
-	}
-	o := core.RegisterElemOps[int64, *bcontainer.Array[T], T](
-		"parray["+codec.Name+"]",
-		transport.Int64Codec,
-		codec,
-		func(_ *runtime.Location, bc *bcontainer.Array[T], gid int64, v T) { bc.Set(gid, v) },
-		func(_ *runtime.Location, bc *bcontainer.Array[T], gid int64) T { return bc.Get(gid) },
-	)
-	elemOpsReg[t] = o
-	return o
+	return core.OncePerType(func() *core.ElemOps[int64, *bcontainer.Array[T], T] {
+		codec := transport.CodecOf[T]()
+		return core.RegisterElemOps[int64, *bcontainer.Array[T], T](
+			"parray["+codec.Name+"]",
+			transport.Int64Codec,
+			codec,
+			func(_ *runtime.Location, bc *bcontainer.Array[T], gid int64, v T) { bc.Set(gid, v) },
+			func(_ *runtime.Location, bc *bcontainer.Array[T], gid int64) T { return bc.Get(gid) },
+		)
+	})
 }

@@ -27,8 +27,7 @@ type Array[T any] struct {
 	part   partition.Indexed
 	mapper partition.Mapper
 
-	// ops is the registered (self-decoding) element operation set for T, or
-	// nil when T has no typed wire codec and element methods use closures.
+	// ops is the registered element operation set for T.
 	ops *core.ElemOps[int64, *bcontainer.Array[T], T]
 }
 
@@ -106,30 +105,18 @@ func (a *Array[T]) Mapper() partition.Mapper { return a.mapper }
 // by the next Fence, or by a later Get/GetSplit of the same index from this
 // location (the container's relaxed memory-consistency model).
 func (a *Array[T]) Set(i int64, val T) {
-	if a.ops != nil {
-		a.ops.Set(&a.Container, i, val, runtime.PayloadBytes(val))
-		return
-	}
-	a.InvokeSized(i, core.Write, runtime.PayloadBytes(val), func(_ *runtime.Location, bc *bcontainer.Array[T]) { bc.Set(i, val) })
+	a.ops.Set(&a.Container, i, val, runtime.PayloadBytes(val))
 }
 
 // Get returns the element at index i (synchronous).
 func (a *Array[T]) Get(i int64) T {
-	if a.ops != nil {
-		return a.ops.Get(&a.Container, i)
-	}
-	v := a.InvokeRet(i, core.Read, func(_ *runtime.Location, bc *bcontainer.Array[T]) any { return bc.Get(i) })
-	return v.(T)
+	return a.ops.Get(&a.Container, i)
 }
 
 // GetSplit starts a split-phase read of index i and returns a future for
 // its value (the paper's split_phase_get_element / pc_future).
 func (a *Array[T]) GetSplit(i int64) *runtime.FutureOf[T] {
-	if a.ops != nil {
-		return runtime.NewFutureOf[T](a.ops.GetSplit(&a.Container, i))
-	}
-	f := a.InvokeSplit(i, core.Read, func(_ *runtime.Location, bc *bcontainer.Array[T]) any { return bc.Get(i) })
-	return runtime.NewFutureOf[T](f)
+	return runtime.NewFutureOf[T](a.ops.GetSplit(&a.Container, i))
 }
 
 // ApplySet applies fn to the element at index i in place, asynchronously
@@ -163,13 +150,7 @@ func (a *Array[T]) SetBulk(idxs []int64, vals []T) {
 		return
 	}
 	bytesPerOp := 8 + runtime.PayloadBytes(vals[0]) // index + value
-	if a.ops != nil {
-		a.ops.SetBulk(&a.Container, idxs, vals, bytesPerOp)
-		return
-	}
-	a.InvokeBulk(idxs, core.Write, bytesPerOp, func(_ *runtime.Location, bc *bcontainer.Array[T], k int) {
-		bc.Set(idxs[k], vals[k])
-	})
+	a.ops.SetBulk(&a.Container, idxs, vals, bytesPerOp)
 }
 
 // GetBulk returns the elements at the given indices, in order (synchronous).
@@ -177,13 +158,7 @@ func (a *Array[T]) SetBulk(idxs []int64, vals []T) {
 // batch size.
 func (a *Array[T]) GetBulk(idxs []int64) []T {
 	out := make([]T, len(idxs))
-	if a.ops != nil {
-		a.ops.GetBulk(&a.Container, idxs, out, 8)
-		return out
-	}
-	a.InvokeBulkSync(idxs, core.Read, 8, func(_ *runtime.Location, bc *bcontainer.Array[T], k int) {
-		out[k] = bc.Get(idxs[k])
-	})
+	a.ops.GetBulk(&a.Container, idxs, out, 8)
 	return out
 }
 

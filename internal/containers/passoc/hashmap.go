@@ -32,9 +32,8 @@ type HashMap[K comparable, V any] struct {
 	part   *partition.Hashed[K]
 	mapper partition.Mapper
 
-	// ops is the registered element-operation set for this (K, V) pair (nil
-	// when either type has no wire codec): with it, inserts travel as
-	// self-decoding frames.  See ops.go.
+	// ops is the registered element-operation set for this (K, V) pair.  See
+	// ops.go.
 	ops *core.ElemOps[K, *bcontainer.HashMap[K, V], V]
 
 	// dir is the exception overlay of the key-migration option (see
@@ -101,11 +100,7 @@ func NewHashMap[K comparable, V any](loc *runtime.Location, hash func(K) uint64,
 
 // Insert stores (k, v) asynchronously, overwriting any existing value.
 func (h *HashMap[K, V]) Insert(k K, v V) {
-	if h.ops != nil {
-		h.ops.Set(&h.Container, k, v, runtime.PayloadBytes(v))
-		return
-	}
-	h.InvokeSized(k, core.Write, runtime.PayloadBytes(v), func(_ *runtime.Location, bc *bcontainer.HashMap[K, V]) { bc.Insert(k, v) })
+	h.ops.Set(&h.Container, k, v, runtime.PayloadBytes(v))
 }
 
 // InsertSync stores (k, v) and reports whether the key was newly inserted.
@@ -190,13 +185,7 @@ func (h *HashMap[K, V]) InsertBulk(keys []K, vals []V) {
 		return
 	}
 	bytesPerOp := runtime.PayloadBytes(keys[0]) + runtime.PayloadBytes(vals[0])
-	if h.ops != nil {
-		h.ops.SetBulk(&h.Container, keys, vals, bytesPerOp)
-		return
-	}
-	h.InvokeBulk(keys, core.Write, bytesPerOp, func(_ *runtime.Location, bc *bcontainer.HashMap[K, V], k int) {
-		bc.Insert(keys[k], vals[k])
-	})
+	h.ops.SetBulk(&h.Container, keys, vals, bytesPerOp)
 }
 
 // FindBulk looks up every key and returns the values and presence flags, in

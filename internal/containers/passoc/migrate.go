@@ -125,6 +125,7 @@ func (h *HashMap[K, V]) MigrateKeys(keys []K, dest int) {
 		GID:   func(e migratedPair[K, V]) K { return e.key },
 		Place: func(bc *bcontainer.HashMap[K, V], e migratedPair[K, V]) { bc.Insert(e.key, e.val) },
 		Bytes: func(migratedPair[K, V]) int { return elemBytes },
+		Ops:   core.MigrationOpsOf[migratedPair[K, V]](),
 		Install: func(lm *core.LocationManager[*bcontainer.HashMap[K, V]]) {
 			h.ReplaceLocationManager(lm)
 		},

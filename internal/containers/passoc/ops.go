@@ -1,101 +1,51 @@
 package passoc
 
 import (
-	"reflect"
-	"sync"
-
 	"repro/internal/bcontainer"
 	"repro/internal/core"
 	"repro/internal/runtime"
 	"repro/internal/transport"
 )
 
-// Registered-operation routing for the hashed family, mirroring pArray's
-// scheme: when both the key and value types have wire codecs
-// (transport.RegisterTyped), inserts travel as self-decoding frames and the
-// redistribution engine ships pairs as registered operations — both
-// executable across process boundaries.  Type pairs without codecs keep the
-// original closure paths unchanged.
+// Registered operations of the hashed family, mirroring pArray's scheme:
+// inserts and redistribution pairs travel under operations whose codecs
+// derive from the key and value types' (transport.CodecOf), so when both have
+// wire codecs they are executable across process boundaries.
 //
 // One registration serves every pHashMap instantiated at the same (K, V):
 // operation names derive from the codec names (stable across processes and
-// registration order) and the per-pair result is cached.
+// registration order).
 
-var (
-	hashOpsMu  sync.Mutex
-	hashOpsReg = map[[2]reflect.Type]any{} // *core.ElemOps[...] per (K, V); nil when uncodeced
-	kvMigMu    sync.Mutex
-	kvMigReg   = map[[2]reflect.Type]any{} // *core.MigrationOps[kvPair[K, V]] per (K, V)
-)
-
-func typePair[K comparable, V any]() [2]reflect.Type {
-	return [2]reflect.Type{
-		reflect.TypeOf((*K)(nil)).Elem(),
-		reflect.TypeOf((*V)(nil)).Elem(),
-	}
-}
-
-// hashElemOpsFor returns the registered element operations for a pHashMap at
-// (K, V), or nil when either type has no typed codec (closure fallback).
+// hashElemOpsFor returns the element operations for a pHashMap at (K, V).
 func hashElemOpsFor[K comparable, V any]() *core.ElemOps[K, *bcontainer.HashMap[K, V], V] {
-	t := typePair[K, V]()
-	hashOpsMu.Lock()
-	defer hashOpsMu.Unlock()
-	if v, ok := hashOpsReg[t]; ok {
-		if v == nil {
-			return nil
-		}
-		return v.(*core.ElemOps[K, *bcontainer.HashMap[K, V], V])
-	}
-	kCodec, kOK := transport.TypedCodecFor[K]()
-	vCodec, vOK := transport.TypedCodecFor[V]()
-	if !kOK || !vOK {
-		hashOpsReg[t] = nil
-		return nil
-	}
-	o := core.RegisterElemOps[K, *bcontainer.HashMap[K, V], V](
-		"passoc.hashmap["+kCodec.Name+","+vCodec.Name+"]",
-		kCodec,
-		vCodec,
-		func(_ *runtime.Location, bc *bcontainer.HashMap[K, V], k K, v V) { bc.Insert(k, v) },
-		func(_ *runtime.Location, bc *bcontainer.HashMap[K, V], k K) V {
-			v, _ := bc.Find(k)
-			return v
-		},
-	)
-	hashOpsReg[t] = o
-	return o
+	return core.OncePerType(func() *core.ElemOps[K, *bcontainer.HashMap[K, V], V] {
+		kCodec, vCodec := transport.CodecOf[K](), transport.CodecOf[V]()
+		return core.RegisterElemOps[K, *bcontainer.HashMap[K, V], V](
+			"passoc.hashmap["+kCodec.Name+","+vCodec.Name+"]",
+			kCodec,
+			vCodec,
+			func(_ *runtime.Location, bc *bcontainer.HashMap[K, V], k K, v V) { bc.Insert(k, v) },
+			func(_ *runtime.Location, bc *bcontainer.HashMap[K, V], k K) V {
+				v, _ := bc.Find(k)
+				return v
+			},
+		)
+	})
 }
 
-// kvMigOpsFor returns the registered migration operation for kvPair[K, V], or
-// nil when either type has no typed codec.
+// kvMigOpsFor returns the migration operation for kvPair[K, V].
 func kvMigOpsFor[K comparable, V any]() *core.MigrationOps[kvPair[K, V]] {
-	t := typePair[K, V]()
-	kvMigMu.Lock()
-	defer kvMigMu.Unlock()
-	if v, ok := kvMigReg[t]; ok {
-		if v == nil {
-			return nil
-		}
-		return v.(*core.MigrationOps[kvPair[K, V]])
-	}
-	kCodec, kOK := transport.TypedCodecFor[K]()
-	vCodec, vOK := transport.TypedCodecFor[V]()
-	if !kOK || !vOK {
-		kvMigReg[t] = nil
-		return nil
-	}
-	o := core.RegisterMigrationOps("passoc.kv["+kCodec.Name+","+vCodec.Name+"]",
-		transport.Codec[kvPair[K, V]]{
-			Name: "passoc.kv-pair[" + kCodec.Name + "," + vCodec.Name + "]",
-			Encode: func(b *transport.Buffer, p kvPair[K, V]) {
-				kCodec.Encode(b, p.key)
-				vCodec.Encode(b, p.val)
-			},
-			Decode: func(b *transport.Buffer) kvPair[K, V] {
-				return kvPair[K, V]{key: kCodec.Decode(b), val: vCodec.Decode(b)}
-			},
-		})
-	kvMigReg[t] = o
-	return o
+	return core.OncePerType(func() *core.MigrationOps[kvPair[K, V]] {
+		kCodec, vCodec := transport.CodecOf[K](), transport.CodecOf[V]()
+		return core.RegisterMigrationOps("passoc.kv["+kCodec.Name+","+vCodec.Name+"]",
+			transport.Derive("passoc.kv-pair["+kCodec.Name+","+vCodec.Name+"]",
+				func(b *transport.Buffer, p kvPair[K, V]) {
+					kCodec.Encode(b, p.key)
+					vCodec.Encode(b, p.val)
+				},
+				func(b *transport.Buffer) kvPair[K, V] {
+					return kvPair[K, V]{key: kCodec.Decode(b), val: vCodec.Decode(b)}
+				},
+				kCodec, vCodec))
+	})
 }

@@ -112,6 +112,7 @@ func (m *Map[K, V]) Redistribute(newPart *partition.Ranged[K], newMapper partiti
 		},
 		Place: func(bc *bcontainer.SortedMap[K, V], e mapPair[K, V]) { bc.Insert(e.key, e.val) },
 		Bytes: func(mapPair[K, V]) int { return elemBytes },
+		Ops:   core.MigrationOpsOf[mapPair[K, V]](),
 		Install: func(lm *core.LocationManager[*bcontainer.SortedMap[K, V]]) {
 			m.ReplaceLocationManager(lm)
 			m.SetResolver(rangeResolver[K]{part: newPart, mapper: newMapper})

@@ -13,20 +13,9 @@ import (
 func (g *Graph[VP, EP]) AddEdgeAsync(src, tgt int64, prop EP) {
 	multi := g.multi
 	bytes := 8 + runtime.PayloadBytes(prop) // target descriptor + property
-	if g.edgeOps != nil {
-		g.edgeOps.Set(&g.Container, src, edgeMsg[EP]{tgt: tgt, prop: prop, multi: multi}, bytes)
-		if !g.directed && src != tgt {
-			g.edgeOps.Set(&g.Container, tgt, edgeMsg[EP]{tgt: src, prop: prop, multi: multi}, bytes)
-		}
-		return
-	}
-	g.InvokeSized(src, core.Write, bytes, func(_ *runtime.Location, bc *bcontainer.Graph[VP, EP]) {
-		bc.AddEdge(src, tgt, prop, multi)
-	})
+	g.edgeOps.Set(&g.Container, src, edgeMsg[EP]{tgt: tgt, prop: prop, multi: multi}, bytes)
 	if !g.directed && src != tgt {
-		g.InvokeSized(tgt, core.Write, bytes, func(_ *runtime.Location, bc *bcontainer.Graph[VP, EP]) {
-			bc.AddEdge(tgt, src, prop, multi)
-		})
+		g.edgeOps.Set(&g.Container, tgt, edgeMsg[EP]{tgt: src, prop: prop, multi: multi}, bytes)
 	}
 }
 

@@ -78,9 +78,7 @@ type Graph[VP any, EP any] struct {
 	multi    bool
 
 	// edgeOps is the registered add_edge operation set for this (VP, EP)
-	// pair (nil when either property type has no wire codec): with it,
-	// asynchronous edge additions travel as self-decoding frames.  See
-	// ops.go.
+	// pair.  See ops.go.
 	edgeOps  *core.ElemOps[int64, *bcontainer.Graph[VP, EP], edgeMsg[EP]]
 	strategy Strategy
 

@@ -1,9 +1,6 @@
 package plist
 
 import (
-	"reflect"
-	"sync"
-
 	"repro/internal/core"
 	"repro/internal/transport"
 )
@@ -23,42 +20,20 @@ var gidCodec = transport.RegisterTyped(transport.Register(transport.Codec[GID]{
 	},
 }, GID{}, GID{Loc: 2, ID: 2<<gidShift | 7}, InvalidGID))
 
-// Per-element-type cache of the list migration registration, mirroring the
-// other families: one registration serves every pList at the same T; a T
-// without a typed codec caches nil (closure fallback).
-var (
-	listMigMu  sync.Mutex
-	listMigReg = map[reflect.Type]any{} // *core.MigrationOps[listElem[T]] per T
-)
-
-// listMigOpsFor returns the registered migration operation for listElem[T],
-// or nil when T has no typed codec.
+// listMigOpsFor returns the migration operation for listElem[T]: one
+// registration serves every pList at the same T.
 func listMigOpsFor[T any]() *core.MigrationOps[listElem[T]] {
-	t := reflect.TypeOf((*T)(nil)).Elem()
-	listMigMu.Lock()
-	defer listMigMu.Unlock()
-	if v, ok := listMigReg[t]; ok {
-		if v == nil {
-			return nil
-		}
-		return v.(*core.MigrationOps[listElem[T]])
-	}
-	codec, ok := transport.TypedCodecFor[T]()
-	if !ok {
-		listMigReg[t] = nil
-		return nil
-	}
-	o := core.RegisterMigrationOps("plist.elem["+codec.Name+"]",
-		transport.Codec[listElem[T]]{
-			Name: "plist.list-elem[" + codec.Name + "]",
-			Encode: func(b *transport.Buffer, e listElem[T]) {
-				b.PutVarint(e.id)
-				codec.Encode(b, e.val)
-			},
-			Decode: func(b *transport.Buffer) listElem[T] {
-				return listElem[T]{id: b.Varint(), val: codec.Decode(b)}
-			},
-		})
-	listMigReg[t] = o
-	return o
+	return core.OncePerType(func() *core.MigrationOps[listElem[T]] {
+		codec := transport.CodecOf[T]()
+		return core.RegisterMigrationOps("plist.elem["+codec.Name+"]",
+			transport.Derive("plist.list-elem["+codec.Name+"]",
+				func(b *transport.Buffer, e listElem[T]) {
+					b.PutVarint(e.id)
+					codec.Encode(b, e.val)
+				},
+				func(b *transport.Buffer) listElem[T] {
+					return listElem[T]{id: b.Varint(), val: codec.Decode(b)}
+				},
+				codec))
+	})
 }

@@ -1,95 +1,45 @@
 package pmatrix
 
 import (
-	"reflect"
-	"sync"
-
 	"repro/internal/bcontainer"
 	"repro/internal/core"
 	"repro/internal/transport"
 )
 
-// Registered migration operations for the two pMatrix storage
-// representations, cached per element type like the other families: one
-// registration serves every matrix at the same T, and a T without a typed
-// wire codec caches nil (closure fallback, in-process transports only).
-var (
-	matMigMu  sync.Mutex
-	matMigReg = map[reflect.Type]any{} // *core.MigrationOps[matrixElem[T]] per T
+// Migration operations for the two pMatrix storage representations: one
+// registration serves every matrix at the same T, and the records cross
+// wires by value iff T has a typed wire codec.
 
-	rowMigMu  sync.Mutex
-	rowMigReg = map[reflect.Type]any{} // *core.MigrationOps[bcontainer.SparseRow[T]] per T
-)
-
-// matMigOpsFor returns the registered migration operation for the dense
-// element record matrixElem[T], or nil when T has no typed codec.
+// matMigOpsFor returns the migration operation for the dense element record
+// matrixElem[T].
 func matMigOpsFor[T any]() *core.MigrationOps[matrixElem[T]] {
-	t := reflect.TypeOf((*T)(nil)).Elem()
-	matMigMu.Lock()
-	defer matMigMu.Unlock()
-	if v, ok := matMigReg[t]; ok {
-		if v == nil {
-			return nil
-		}
-		return v.(*core.MigrationOps[matrixElem[T]])
-	}
-	codec, ok := transport.TypedCodecFor[T]()
-	if !ok {
-		matMigReg[t] = nil
-		return nil
-	}
-	o := core.RegisterMigrationOps("pmatrix.elem["+codec.Name+"]",
-		transport.Codec[matrixElem[T]]{
-			Name: "pmatrix.matrix-elem[" + codec.Name + "]",
-			Encode: func(b *transport.Buffer, e matrixElem[T]) {
-				b.PutVarint(e.g.Row)
-				b.PutVarint(e.g.Col)
-				codec.Encode(b, e.val)
-			},
-			Decode: func(b *transport.Buffer) matrixElem[T] {
-				var e matrixElem[T]
-				e.g.Row = b.Varint()
-				e.g.Col = b.Varint()
-				e.val = codec.Decode(b)
-				return e
-			},
-		})
-	matMigReg[t] = o
-	return o
+	return core.OncePerType(func() *core.MigrationOps[matrixElem[T]] {
+		codec := transport.CodecOf[T]()
+		return core.RegisterMigrationOps("pmatrix.elem["+codec.Name+"]",
+			transport.Derive("pmatrix.matrix-elem["+codec.Name+"]",
+				func(b *transport.Buffer, e matrixElem[T]) {
+					b.PutVarint(e.g.Row)
+					b.PutVarint(e.g.Col)
+					codec.Encode(b, e.val)
+				},
+				func(b *transport.Buffer) matrixElem[T] {
+					var e matrixElem[T]
+					e.g.Row = b.Varint()
+					e.g.Col = b.Varint()
+					e.val = codec.Decode(b)
+					return e
+				},
+				codec))
+	})
 }
 
-// sparseRowMigOpsFor returns the registered migration operation for the CSR
-// row record SparseRow[T], or nil when T has no typed codec.  The wire form
-// is the compressed row itself (bcontainer.SparseRowCodec), so relayout
-// traffic of a sparse matrix scales with the nonzeros shipped.
+// sparseRowMigOpsFor returns the migration operation for the CSR row record
+// SparseRow[T].  The wire form is the compressed row itself
+// (bcontainer.SparseRowCodec), so relayout traffic of a sparse matrix scales
+// with the nonzeros shipped.
 func sparseRowMigOpsFor[T any]() *core.MigrationOps[bcontainer.SparseRow[T]] {
-	t := reflect.TypeOf((*T)(nil)).Elem()
-	rowMigMu.Lock()
-	defer rowMigMu.Unlock()
-	if v, ok := rowMigReg[t]; ok {
-		if v == nil {
-			return nil
-		}
-		return v.(*core.MigrationOps[bcontainer.SparseRow[T]])
-	}
-	codec, ok := transport.TypedCodecFor[T]()
-	if !ok {
-		rowMigReg[t] = nil
-		return nil
-	}
-	o := core.RegisterMigrationOps("pmatrix.sparse-row["+codec.Name+"]",
-		bcontainer.SparseRowCodec[T](codec))
-	rowMigReg[t] = o
-	return o
-}
-
-// sparseRowCodecFor returns the wire codec for SparseRow[T] when T has a
-// typed codec; the sparse migration's byte accounting encodes each shipped
-// row against it so the counters report real compressed sizes.
-func sparseRowCodecFor[T any]() (transport.Codec[bcontainer.SparseRow[T]], bool) {
-	codec, ok := transport.TypedCodecFor[T]()
-	if !ok {
-		return transport.Codec[bcontainer.SparseRow[T]]{}, false
-	}
-	return bcontainer.SparseRowCodec[T](codec), true
+	return core.OncePerType(func() *core.MigrationOps[bcontainer.SparseRow[T]] {
+		codec := transport.CodecOf[T]()
+		return core.RegisterMigrationOps("pmatrix.sparse-row["+codec.Name+"]", bcontainer.SparseRowCodec(codec))
+	})
 }

@@ -229,7 +229,7 @@ func (m *SparseMatrix[T]) Redistribute(newPart *partition.Matrix, newMapper part
 			m.dom.Rows, m.dom.Cols, newPart.Domain().Rows, newPart.Domain().Cols))
 	}
 	loc := m.Location()
-	rowCodec, haveCodec := sparseRowCodecFor[T]()
+	rowCodec := bcontainer.SparseRowCodec(transport.CodecOf[T]())
 	var scratch transport.Buffer
 	core.RunMigration(loc, core.MigrationSpec[bcontainer.SparseRow[T], *bcontainer.SparseMatrixBlock[T]]{
 		NewLocal: newMapper.LocalBCIDs(loc.ID()),
@@ -268,12 +268,7 @@ func (m *SparseMatrix[T]) Redistribute(newPart *partition.Matrix, newMapper part
 			bc.InstallRow(seg)
 		},
 		Bytes: func(seg bcontainer.SparseRow[T]) int {
-			if haveCodec {
-				// Exact wire size: the counters report real compressed bytes.
-				return bcontainer.EncodedRowBytes(rowCodec, &scratch, seg)
-			}
-			// No typed codec: approximate with the in-memory CSR footprint.
-			return 8 + 16*len(seg.Cols)
+			return bcontainer.EncodedRowBytes(rowCodec, &scratch, seg)
 		},
 		Ops: sparseRowMigOpsFor[T](),
 		Install: func(lm *core.LocationManager[*bcontainer.SparseMatrixBlock[T]]) {

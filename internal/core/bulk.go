@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/partition"
 	"repro/internal/runtime"
+	"repro/internal/transport"
 )
 
 // This file implements the bulk flavour of the distribution manager's method
@@ -28,9 +29,9 @@ import (
 // The skeleton is on the container hot path, so its working state is pooled:
 // resolution targets and group lists live in a recycled scratch, group index
 // slices come from a shared pool (ownership travels with the request and the
-// handler recycles them), and a shipped group rides an argument-carrying RMI
-// with a static handler — steady-state bulk traffic allocates nothing per
-// call beyond what the caller's own action captures.
+// handler recycles them), and a shipped group rides a by-reference registered
+// operation (static handler + pooled argument) — steady-state bulk traffic
+// allocates nothing per call beyond what the caller's own action captures.
 
 // bulkTracker counts the outstanding element operations of one synchronous
 // bulk invocation.  Remote handlers (and forwarded stragglers) decrement it
@@ -96,7 +97,7 @@ type bulkGroup struct {
 	idxs []int          // pooled; ownership transfers to whoever executes the group
 }
 
-// bulkScratch is the reusable working state of one bulkHop: the per-element
+// bulkScratch is the reusable working state of one bulk hop: the per-element
 // resolution table and the group list built from it.  Group counts are small
 // (a handful of base containers locally, at most P-1 destinations remotely),
 // so groups are found by linear search instead of map lookups — no hashing,
@@ -127,7 +128,8 @@ func putBulkScratch(s *bulkScratch) {
 
 // bulkIdxPool recycles the group index slices.  A slice's ownership follows
 // the group: locally executed groups recycle it in bulkHop, shipped groups
-// hand it to the destination's bulkForward, which recycles it after the hop.
+// hand it to the destination's forward handler (bulkForwardOpFor), which
+// recycles it after the hop.
 var bulkIdxPool = sync.Pool{New: func() any { return make([]int, 0, 64) }}
 
 func getBulkIdxs() []int { return bulkIdxPool.Get().([]int)[:0] }
@@ -138,12 +140,11 @@ func putBulkIdxs(idxs []int) {
 	bulkIdxPool.Put(idxs[:0])
 }
 
-// bulkArgs carries one shipped group: everything bulkForward needs to resume
-// the hop at the destination.  Instances are recycled through an untyped
+// bulkArgs carries one shipped group: everything the forward handler needs to
+// resume the hop at the destination.  Instances are recycled through an untyped
 // pool shared by every container instantiation; a descriptor that comes back
 // under the wrong type parameters is simply dropped (see getBulkArgs).
 type bulkArgs[G any, B BContainer] struct {
-	c          *Container[G, B]
 	gids       []G
 	idxs       []int
 	mode       AccessMode
@@ -171,30 +172,40 @@ func putBulkArgs[G any, B BContainer](a *bulkArgs[G, B]) {
 	bulkArgsPool.Put(a)
 }
 
-// bulkForward is the static handler every shipped group targets: it resumes
-// the hop on the destination's representative, then recycles the group's
-// index slice and the argument descriptor.  Being non-capturing, shipping a
-// group allocates no closure — the pooled descriptor is the whole payload.
-func bulkForward[G any, B BContainer](obj any, _ *runtime.Location, arg any) {
-	a := arg.(*bulkArgs[G, B])
-	obj.(*Container[G, B]).bulkHop(a.gids, a.idxs, a.mode, a.bytesPerOp, a.action, a.tr, a.hops)
-	putBulkIdxs(a.idxs)
-	putBulkArgs(a)
+// bulkForwardOp is the operation every shipped group of a Container[G, B]
+// travels under.  The group carries the caller's action, so its record has no
+// wire codec and the operation is by-reference whatever G is: its handler
+// resumes the hop on the destination's representative, then recycles the
+// group's index slice and the argument record.
+type bulkForwardOp[G any, B BContainer] struct{ id runtime.OpID }
+
+func bulkForwardOpFor[G any, B BContainer]() runtime.OpID {
+	return OncePerType(func() bulkForwardOp[G, B] {
+		codec := transport.CodecOf[*bulkArgs[G, B]]()
+		return bulkForwardOp[G, B]{runtime.RegisterOp("core.bulk-forward["+codec.Name+"]", codec,
+			func(obj any, _ *runtime.Location, a *bulkArgs[G, B]) {
+				obj.(*Container[G, B]).bulkHop(a.gids, a.idxs, a.mode, a.bytesPerOp, a.action, a.tr, a.hops)
+				putBulkIdxs(a.idxs)
+				putBulkArgs(a)
+			}, nil)}
+	}).id
 }
 
 // shipGroup sends one group to dest as a single sized bulk request.  The
 // group's index slice ownership transfers to the destination.
 func (c *Container[G, B]) shipGroup(dest int, gids []G, group []int, mode AccessMode, bytesPerOp int, action func(loc *runtime.Location, bc B, k int), tr *bulkTracker, hops int) {
 	a := getBulkArgs[G, B]()
-	*a = bulkArgs[G, B]{c: c, gids: gids, idxs: group, mode: mode, bytesPerOp: bytesPerOp, action: action, tr: tr, hops: hops}
-	c.loc.AsyncRMIBulkArg(dest, c.handle, len(group), bytesPerOp*len(group), bulkForward[G, B], a)
+	*a = bulkArgs[G, B]{gids: gids, idxs: group, mode: mode, bytesPerOp: bytesPerOp, action: action, tr: tr, hops: hops}
+	c.loc.AsyncRMIBulkOp(dest, c.handle, len(group), bytesPerOp*len(group), c.bulkForward, a)
 }
 
-// bulkHop performs one resolution step of a bulk invocation for the elements
-// of gids selected by idxs (nil means all).  Local groups execute in place;
-// remote groups are shipped as one bulk RMI per destination, where the same
-// grouping repeats (method forwarding happens per group, not per element).
-func (c *Container[G, B]) bulkHop(gids []G, idxs []int, mode AccessMode, bytesPerOp int, action func(loc *runtime.Location, bc B, k int), tr *bulkTracker, hops int) {
+// resolveGroups is the resolution core every bulk hop shares: it resolves the
+// elements of gids selected by idxs (nil means all) under one metadata
+// bracket and groups them by owner.  Each group lists positions into gids.
+// The returned scratch (and the group index slices it holds) belongs to the
+// caller, who hands every group's slice on or recycles it and then returns
+// the scratch with putBulkScratch.
+func (c *Container[G, B]) resolveGroups(gids []G, idxs []int, hops int) *bulkScratch {
 	if hops > maxForwardHops {
 		panic(fmt.Sprintf("core: bulk invocation forwarded more than %d times", maxForwardHops))
 	}
@@ -204,7 +215,6 @@ func (c *Container[G, B]) bulkHop(gids []G, idxs []int, mode AccessMode, bytesPe
 		n = len(idxs)
 	}
 	s := getBulkScratch(n)
-	defer putBulkScratch(s)
 
 	// Resolve every selected element under a single metadata bracket (one
 	// lock acquisition for the whole batch instead of one per element).
@@ -269,6 +279,17 @@ func (c *Container[G, B]) bulkHop(gids []G, idxs []int, mode AccessMode, bytesPe
 		}
 		s.groups[last].idxs = append(s.groups[last].idxs, k)
 	}
+	return s
+}
+
+// bulkHop performs one resolution step of a bulk invocation for the elements
+// of gids selected by idxs (nil means all).  Local groups execute in place;
+// remote groups are shipped as one bulk RMI per destination, where the same
+// grouping repeats (method forwarding happens per group, not per element).
+func (c *Container[G, B]) bulkHop(gids []G, idxs []int, mode AccessMode, bytesPerOp int, action func(loc *runtime.Location, bc B, k int), tr *bulkTracker, hops int) {
+	self := c.loc.ID()
+	s := c.resolveGroups(gids, idxs, hops)
+	defer putBulkScratch(s)
 
 	// Execute local groups in place (one data bracket per base container for
 	// the whole group); ship every other group as one sized request.  A

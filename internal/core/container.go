@@ -108,6 +108,9 @@ type Container[G any, B BContainer] struct {
 	resolver Resolver[G]
 	ths      ThreadSafety
 	traits   Traits
+	// bulkForward is the operation this instantiation's shipped bulk groups
+	// travel under (see bulkForwardOpFor).
+	bulkForward runtime.OpID
 }
 
 // InitContainer initialises the embedded base in place: it records the
@@ -122,6 +125,7 @@ func (c *Container[G, B]) InitContainer(loc *runtime.Location, resolver Resolver
 	c.traits = traits
 	c.ths = traits.manager()
 	c.locMgr = NewLocationManager[B]()
+	c.bulkForward = bulkForwardOpFor[G, B]()
 	c.handle = loc.RegisterObject(c)
 }
 

@@ -359,3 +359,21 @@ func TestIndexedResolver(t *testing.T) {
 		r.Find(-5)
 	}()
 }
+
+// A registration may build something that registers in turn (a container
+// family's operations constructing a helper container, say), so OncePerType
+// must run each build once and tolerate builds nested across types.
+func TestOncePerTypeRunsOnceAndNests(t *testing.T) {
+	type inner struct{ n int }
+	type outer struct{ in inner }
+	builds := 0
+	get := func() outer {
+		return OncePerType(func() outer {
+			builds++
+			return outer{in: OncePerType(func() inner { builds++; return inner{n: 7} })}
+		})
+	}
+	if a, b := get(), get(); a != b || a.in.n != 7 || builds != 2 {
+		t.Fatalf("got %+v then %+v after %d builds, want the same value after 2", a, b, builds)
+	}
+}

@@ -63,9 +63,7 @@ type Directory[G comparable] struct {
 	ownerLoc func(b partition.BCID) int
 	cacheOn  bool
 
-	// ops is the registered-operation set for this GID type (nil when G has
-	// no typed codec): with it, maintenance traffic is self-decoding and the
-	// directory works across process boundaries.
+	// ops is the registered-operation set for this GID type.
 	ops *dirOps[G]
 
 	// entries is the slice of the gid → owner map this location is home for.
@@ -138,13 +136,7 @@ func (d *Directory[G]) Publish(gid G, owner partition.BCID) {
 		return
 	}
 	d.loc.AccountDirectoryRMI(1)
-	if d.ops != nil {
-		d.loc.AsyncRMIOpSized(home, d.handle, 0, d.ops.publish, dirEntryArgs[G]{gid: gid, owner: owner})
-		return
-	}
-	d.loc.AsyncRMI(home, d.handle, func(obj any, _ *runtime.Location) {
-		obj.(*Directory[G]).set(gid, owner)
-	})
+	d.loc.AsyncRMIOpSized(home, d.handle, 0, d.ops.publish, dirEntryArgs[G]{gid: gid, owner: owner})
 }
 
 // PublishBulk records one owner for every GID of the batch, grouping the
@@ -170,21 +162,9 @@ func (d *Directory[G]) PublishBulk(gids []G, owner partition.BCID) {
 			d.mu.Unlock()
 			continue
 		}
-		group := group
 		d.loc.AccountDirectoryRMI(1)
-		if d.ops != nil {
-			d.loc.AsyncRMIBulkOp(home, d.handle, len(group), 16*len(group), d.ops.publishBulk,
-				dirBulkArgs[G]{gids: group, owner: owner})
-			continue
-		}
-		d.loc.AsyncRMIBulk(home, d.handle, len(group), 16*len(group), func(obj any, _ *runtime.Location) {
-			od := obj.(*Directory[G])
-			od.mu.Lock()
-			for _, gid := range group {
-				od.entries[gid] = owner
-			}
-			od.mu.Unlock()
-		})
+		d.loc.AsyncRMIBulkOp(home, d.handle, len(group), 16*len(group), d.ops.publishBulk,
+			dirBulkArgs[G]{gids: group, owner: owner})
 	}
 }
 
@@ -194,21 +174,19 @@ func (d *Directory[G]) PublishBulk(gids []G, owner partition.BCID) {
 // owner of record, exactly like a never-published GID.
 func (d *Directory[G]) Unpublish(gid G) {
 	home := d.home(gid)
-	erase := func(od *Directory[G]) {
-		od.mu.Lock()
-		delete(od.entries, gid)
-		od.mu.Unlock()
-	}
 	if home == d.loc.ID() {
-		erase(d)
+		d.erase(gid)
 		return
 	}
 	d.loc.AccountDirectoryRMI(1)
-	if d.ops != nil {
-		d.loc.AsyncRMIOpSized(home, d.handle, 0, d.ops.unpublish, dirEntryArgs[G]{gid: gid})
-		return
-	}
-	d.loc.AsyncRMI(home, d.handle, func(obj any, _ *runtime.Location) { erase(obj.(*Directory[G])) })
+	d.loc.AsyncRMIOpSized(home, d.handle, 0, d.ops.unpublish, dirEntryArgs[G]{gid: gid})
+}
+
+// erase removes an entry from the local slice of the registry.
+func (d *Directory[G]) erase(gid G) {
+	d.mu.Lock()
+	delete(d.entries, gid)
+	d.mu.Unlock()
 }
 
 // Update replaces gid's owner after an ownership change and bumps every
@@ -231,13 +209,7 @@ func (d *Directory[G]) Update(gid G, owner partition.BCID) {
 		return
 	}
 	d.loc.AccountDirectoryRMI(1)
-	if d.ops != nil {
-		d.loc.AsyncRMIOpSized(home, d.handle, 0, d.ops.update, dirEntryArgs[G]{gid: gid, owner: owner})
-		return
-	}
-	d.loc.AsyncRMI(home, d.handle, func(obj any, _ *runtime.Location) {
-		obj.(*Directory[G]).applyUpdate(gid, owner)
-	})
+	d.loc.AsyncRMIOpSized(home, d.handle, 0, d.ops.update, dirEntryArgs[G]{gid: gid, owner: owner})
 }
 
 // applyUpdate runs Update's home-side half: install the new entry, then
@@ -251,13 +223,7 @@ func (d *Directory[G]) applyUpdate(gid G, owner partition.BCID) {
 			continue
 		}
 		d.loc.AccountDirectoryRMI(1)
-		if d.ops != nil {
-			d.loc.AsyncRMIOpSized(dest, d.handle, 0, d.ops.bump, struct{}{})
-			continue
-		}
-		d.loc.AsyncRMI(dest, d.handle, func(obj any, _ *runtime.Location) {
-			obj.(*Directory[G]).BumpEpoch()
-		})
+		d.loc.AsyncRMIOpSized(dest, d.handle, 0, d.ops.bump, struct{}{})
 	}
 }
 
@@ -513,8 +479,8 @@ type DirectoryMigration[E any, G comparable, B BContainer] struct {
 	// Bytes returns the simulated marshalled size of e (nil: sizer registry,
 	// see MigrationSpec.Bytes).
 	Bytes func(e E) int
-	// Ops, when non-nil, ships the element transfers as registered operations
-	// (see MigrationSpec.Ops).
+	// Ops is the registered operation the element transfers travel under
+	// (required, see MigrationSpec.Ops).
 	Ops *MigrationOps[E]
 	// Install swaps the staged storage into the container.
 	Install func(lm *LocationManager[B])

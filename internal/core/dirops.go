@@ -1,26 +1,20 @@
 package core
 
 import (
-	"reflect"
-	"sync"
-
 	"repro/internal/partition"
 	"repro/internal/runtime"
 	"repro/internal/transport"
 )
 
-// Registered-operation forms of the directory maintenance RMIs.  When the GID
-// type has a wire codec (transport.RegisterTyped), Publish / PublishBulk /
-// Unpublish / Update traffic travels as self-decoding frames — executable
-// across process boundaries — instead of Go closures; a GID type without a
-// codec keeps the closure paths unchanged.  Counter behaviour is identical
-// either way (the Op RMI variants account exactly like their closure twins,
-// and the DirectoryRMIs attribution stays with the callers).
+// Registered-operation forms of the directory maintenance RMIs: Publish /
+// PublishBulk / Unpublish / Update traffic travels under operations whose
+// argument codecs derive from the GID type's (transport.CodecOf) — so when
+// the GID type has a wire codec the directory works across process
+// boundaries.  The DirectoryRMIs attribution stays with the callers.
 //
 // One registration serves every Directory instantiated at the same GID type:
 // the operation names derive from the codec name (stable across processes and
-// registration order) and the per-type result is cached, like the containers'
-// element-operation registrations.
+// registration order).
 
 // dirEntryArgs is one publish/unpublish/update request: a GID and its owner.
 type dirEntryArgs[G comparable] struct {
@@ -44,11 +38,6 @@ type dirOps[G comparable] struct {
 	bump        runtime.OpID
 }
 
-var (
-	dirOpsMu  sync.Mutex
-	dirOpsReg = map[reflect.Type]any{} // *dirOps[G] per G; nil when G has no codec
-)
-
 // emptyArgsCodec marshals the argument-less broadcast requests (epoch bumps).
 var emptyArgsCodec = transport.Codec[struct{}]{
 	Name:   "core.directory/empty-args",
@@ -56,44 +45,30 @@ var emptyArgsCodec = transport.Codec[struct{}]{
 	Decode: func(*transport.Buffer) struct{} { return struct{}{} },
 }
 
-// dirOpsFor returns the registered directory operations for GID type G, or
-// nil when G has no typed codec (closure fallback).
-func dirOpsFor[G comparable]() *dirOps[G] {
-	t := reflect.TypeOf((*G)(nil)).Elem()
-	dirOpsMu.Lock()
-	defer dirOpsMu.Unlock()
-	if v, ok := dirOpsReg[t]; ok {
-		if v == nil {
-			return nil
-		}
-		return v.(*dirOps[G])
-	}
-	codec, ok := transport.TypedCodecFor[G]()
-	if !ok {
-		dirOpsReg[t] = nil
-		return nil
-	}
+// dirOpsFor returns the registered directory operations for GID type G.
+func dirOpsFor[G comparable]() *dirOps[G] { return OncePerType(registerDirOps[G]) }
+
+func registerDirOps[G comparable]() *dirOps[G] {
+	codec := transport.CodecOf[G]()
 	name := "core.directory[" + codec.Name + "]"
-	entryCodec := transport.Codec[dirEntryArgs[G]]{
-		Name: name + "/entry-args",
-		Encode: func(b *transport.Buffer, a dirEntryArgs[G]) {
+	entryCodec := transport.Derive(name+"/entry-args",
+		func(b *transport.Buffer, a dirEntryArgs[G]) {
 			codec.Encode(b, a.gid)
 			b.PutVarint(int64(a.owner))
 		},
-		Decode: func(b *transport.Buffer) dirEntryArgs[G] {
+		func(b *transport.Buffer) dirEntryArgs[G] {
 			return dirEntryArgs[G]{gid: codec.Decode(b), owner: partition.BCID(b.Varint())}
 		},
-	}
-	bulkCodec := transport.Codec[dirBulkArgs[G]]{
-		Name: name + "/bulk-args",
-		Encode: func(b *transport.Buffer, a dirBulkArgs[G]) {
+		codec)
+	bulkCodec := transport.Derive(name+"/bulk-args",
+		func(b *transport.Buffer, a dirBulkArgs[G]) {
 			b.PutUvarint(uint64(len(a.gids)))
 			for _, gid := range a.gids {
 				codec.Encode(b, gid)
 			}
 			b.PutVarint(int64(a.owner))
 		},
-		Decode: func(b *transport.Buffer) dirBulkArgs[G] {
+		func(b *transport.Buffer) dirBulkArgs[G] {
 			n := b.Uvarint()
 			if n > uint64(b.Remaining()) {
 				b.Fail("directory bulk publish: %d entries, %d bytes left", n, b.Remaining())
@@ -105,7 +80,7 @@ func dirOpsFor[G comparable]() *dirOps[G] {
 			}
 			return dirBulkArgs[G]{gids: gids, owner: partition.BCID(b.Varint())}
 		},
-	}
+		codec)
 	o := &dirOps[G]{}
 	o.publish = runtime.RegisterOp(name+"/publish", entryCodec,
 		func(obj any, _ *runtime.Location, a dirEntryArgs[G]) {
@@ -122,10 +97,7 @@ func dirOpsFor[G comparable]() *dirOps[G] {
 		}, nil)
 	o.unpublish = runtime.RegisterOp(name+"/unpublish", entryCodec,
 		func(obj any, _ *runtime.Location, a dirEntryArgs[G]) {
-			od := obj.(*Directory[G])
-			od.mu.Lock()
-			delete(od.entries, a.gid)
-			od.mu.Unlock()
+			obj.(*Directory[G]).erase(a.gid)
 		}, nil)
 	o.update = runtime.RegisterOp(name+"/update", entryCodec,
 		func(obj any, _ *runtime.Location, a dirEntryArgs[G]) {
@@ -135,6 +107,5 @@ func dirOpsFor[G comparable]() *dirOps[G] {
 		func(obj any, _ *runtime.Location, _ struct{}) {
 			obj.(*Directory[G]).BumpEpoch()
 		}, nil)
-	dirOpsReg[t] = o
 	return o
 }

@@ -49,34 +49,50 @@ func (c *Container[G, B]) InvokeSized(gid G, mode AccessMode, bytes int, action 
 		})
 		return
 	}
-	c.invokeHop(gid, mode, bytes, action, 0, false)
+	c.invokeHop(gid, mode, bytes, action, 0)
 }
 
-// invokeHop performs one resolution step of an asynchronous invocation.
-func (c *Container[G, B]) invokeHop(gid G, mode AccessMode, bytes int, action func(loc *runtime.Location, bc B), hops int, urgent bool) {
+// locate is the resolution step every single-element hop shares: it resolves
+// gid under a metadata read bracket (released by defer, so a resolver that
+// fails fast — pList's invalid-GID panic — does not leak the lock to a
+// recovering caller) and returns either the local base container holding it
+// (local == true) or the location to forward to: the owner, or the location a
+// forwarding hint says may know more.  It panics when the chain exceeds
+// maxForwardHops or when gid cannot be resolved on the very location its hint
+// names.  A GID whose metadata says local but whose storage is gone (the
+// transient window of a redistribution) forwards to this location again.
+func (c *Container[G, B]) locate(gid G, hops int) (bc B, bcid partition.BCID, dest int, local bool) {
 	if hops > maxForwardHops {
 		panic(fmt.Sprintf("core: invocation for GID %v forwarded more than %d times", gid, maxForwardHops))
 	}
-	dest, info := c.resolve(gid)
-	if info.Valid && dest == c.loc.ID() {
-		if bc, ok := c.locMgr.Get(info.BCID); ok {
-			c.ths.DataAccessPre(info.BCID, mode)
-			action(c.loc, bc)
-			c.ths.DataAccessPost(info.BCID, mode)
-			return
+	c.ths.MetadataAccessPre(Read)
+	defer c.ths.MetadataAccessPost(Read)
+	info := c.resolver.Find(gid)
+	if !info.Valid {
+		if info.Hint == c.loc.ID() {
+			panic(fmt.Sprintf("core: GID %v cannot be resolved on its directory location", gid))
 		}
+		return bc, partition.InvalidBCID, info.Hint, false
 	}
-	if dest == c.loc.ID() && !info.Valid {
-		panic(fmt.Sprintf("core: GID %v cannot be resolved on its directory location", gid))
+	dest = c.resolver.OwnerOf(info.BCID)
+	if dest == c.loc.ID() {
+		bc, local = c.locMgr.Get(info.BCID)
 	}
-	forward := func(obj any, _ *runtime.Location) {
-		obj.(*Container[G, B]).invokeHop(gid, mode, bytes, action, hops+1, urgent)
+	return bc, info.BCID, dest, local
+}
+
+// invokeHop performs one resolution step of an asynchronous invocation.
+func (c *Container[G, B]) invokeHop(gid G, mode AccessMode, bytes int, action func(loc *runtime.Location, bc B), hops int) {
+	bc, bcid, dest, local := c.locate(gid, hops)
+	if local {
+		c.ths.DataAccessPre(bcid, mode)
+		action(c.loc, bc)
+		c.ths.DataAccessPost(bcid, mode)
+		return
 	}
-	if urgent {
-		c.loc.AsyncRMIUrgent(dest, c.handle, forward)
-	} else {
-		c.loc.AsyncRMISized(dest, c.handle, bytes, forward)
-	}
+	c.loc.AsyncRMISized(dest, c.handle, bytes, func(obj any, _ *runtime.Location) {
+		obj.(*Container[G, B]).invokeHop(gid, mode, bytes, action, hops+1)
+	})
 }
 
 // InvokeRet runs action on the base container owning gid and blocks until
@@ -88,9 +104,11 @@ func (c *Container[G, B]) InvokeRet(gid G, mode AccessMode, action func(loc *run
 // InvokeSplit starts a split-phase invocation of action on the base
 // container owning gid and returns a future for its result.  The caller may
 // overlap other work and call Get later; forwarding hops are delivered
-// urgently so a blocked Get always makes progress.
+// urgently so a blocked Get always makes progress, and the future is wired to
+// the machine's abort so a Get whose answer died with a faulting handler
+// unwinds instead of blocking.
 func (c *Container[G, B]) InvokeSplit(gid G, mode AccessMode, action func(loc *runtime.Location, bc B) any) *runtime.Future {
-	fut := runtime.NewFuture()
+	fut := c.loc.NewAbortableFuture()
 	c.invokeReplyHop(gid, mode, action, fut, 0)
 	return fut
 }
@@ -98,44 +116,22 @@ func (c *Container[G, B]) InvokeSplit(gid G, mode AccessMode, action func(loc *r
 // invokeReplyHop performs one resolution step of a value-returning
 // invocation, completing fut when the action finally runs.
 func (c *Container[G, B]) invokeReplyHop(gid G, mode AccessMode, action func(loc *runtime.Location, bc B) any, fut *runtime.Future, hops int) {
-	if hops > maxForwardHops {
-		panic(fmt.Sprintf("core: invocation for GID %v forwarded more than %d times", gid, maxForwardHops))
-	}
-	dest, info := c.resolve(gid)
-	if info.Valid && dest == c.loc.ID() {
-		if bc, ok := c.locMgr.Get(info.BCID); ok {
-			c.ths.DataAccessPre(info.BCID, mode)
-			v := action(c.loc, bc)
-			c.ths.DataAccessPost(info.BCID, mode)
-			fut.Complete(v)
-			if hops > 0 {
-				// The result travelled back to the issuing location: one
-				// response message carrying the marshalled value.
-				c.loc.AccountReply(runtime.PayloadBytes(v))
-			}
-			return
+	bc, bcid, dest, local := c.locate(gid, hops)
+	if local {
+		c.ths.DataAccessPre(bcid, mode)
+		v := action(c.loc, bc)
+		c.ths.DataAccessPost(bcid, mode)
+		fut.Complete(v)
+		if hops > 0 {
+			// The result travelled back to the issuing location: one
+			// response message carrying the marshalled value.
+			c.loc.AccountReply(runtime.PayloadBytes(v))
 		}
-	}
-	if dest == c.loc.ID() && !info.Valid {
-		panic(fmt.Sprintf("core: GID %v cannot be resolved on its directory location", gid))
+		return
 	}
 	c.loc.AsyncRMIUrgent(dest, c.handle, func(obj any, _ *runtime.Location) {
 		obj.(*Container[G, B]).invokeReplyHop(gid, mode, action, fut, hops+1)
 	})
-}
-
-// resolve queries the partition (under a metadata read bracket) and the
-// mapper for the location responsible for gid.  The bracket is released by
-// defer so that a resolver that fails fast (pList's invalid-GID panic) does
-// not leak the metadata lock to a recovering caller.
-func (c *Container[G, B]) resolve(gid G) (dest int, info partition.Info) {
-	c.ths.MetadataAccessPre(Read)
-	defer c.ths.MetadataAccessPost(Read)
-	info = c.resolver.Find(gid)
-	if info.Valid {
-		return c.resolver.OwnerOf(info.BCID), info
-	}
-	return info.Hint, info
 }
 
 // InvokeAt runs action on a specific location's representative regardless of

@@ -1,38 +1,63 @@
 package core
 
 import (
-	"fmt"
+	"reflect"
 	"sync"
 
-	"repro/internal/partition"
 	"repro/internal/runtime"
 	"repro/internal/transport"
 )
 
-// This file ports the distribution manager's element and bulk method
-// skeletons to REGISTERED operations (see internal/runtime/ops.go): instead
-// of shipping a Go closure per hop, the ported paths ship a pooled,
-// Codec-encodable argument under a stable operation ID, so the request is
-// self-decoding on wire transports and can cross a process boundary.
+// This file holds the REGISTERED form of the distribution manager's element
+// and bulk method skeletons (see internal/runtime/ops.go): instead of a Go
+// closure per hop, these paths ship a pooled argument record under a stable
+// operation ID, so a request allocates nothing in steady state and — when the
+// element types have wire codecs — is self-decoding on wire transports and
+// can cross a process boundary.  Whether they do is not this package's
+// concern: the records' codecs are derived from the element codecs
+// (transport.Derive) and handed to the registry as they come.
 //
-// Every path mirrors its closure twin counter-for-counter — same resolution
-// brackets, same RMI flavour, same simulated byte sizes, same reply
-// accounting — so an experiment's Stats are identical whichever route a
-// container takes, and identical across transports (the counter-identity
-// invariant the equivalence suite pins).
+// Every path accounts exactly like the closure skeleton in distribution.go
+// and bulk.go — same resolution brackets, same RMI flavour, same simulated
+// byte sizes, same reply accounting — so an experiment's Stats are identical
+// across transports (the counter-identity invariant the equivalence suite
+// pins).
 //
-// Value-returning operations cannot carry a *Future across a process
-// boundary; on a self-decoding transport the origin parks a completion
-// callback under a per-location token (Location.RegisterToken) and the
-// owning location answers with Location.ReplyOp.  On in-process delivery the
-// future/tracker pointers ride inside the argument exactly like the closure
-// paths, keeping behaviour and counters bit-identical to the pre-port code.
+// Value-returning operations cannot carry a *Future through bytes: when the
+// registry says a request crosses by value (Location.OpCrossesByValue) the
+// origin parks a completion callback under a per-location token
+// (Location.RegisterToken) and the owning location answers with
+// Location.ReplyOp.  Otherwise the argument record reaches the handler by
+// pointer and the future/tracker pointers ride inside it.
+
+// OncePerType memoises build's result under V's own type.  Generic code that
+// must register something exactly once per instantiation (operation names
+// are unique) wraps the registration in it, with a V that mentions every
+// type parameter the registration depends on.  Each type has its own slot, so
+// a build may itself construct things that call OncePerType.
+func OncePerType[V any](build func() V) V {
+	t := reflect.TypeOf((*V)(nil)).Elem()
+	s, ok := perType.Load(t)
+	if !ok {
+		s, _ = perType.LoadOrStore(t, new(perTypeSlot))
+	}
+	slot := s.(*perTypeSlot)
+	slot.once.Do(func() { slot.v = build() })
+	return slot.v.(V)
+}
+
+type perTypeSlot struct {
+	once sync.Once
+	v    any
+}
+
+var perType sync.Map // reflect.Type -> *perTypeSlot
 
 // ElemOps is one container family's registered element operations at a fixed
 // element type: asynchronous set, synchronous get, and their bulk
 // counterparts.  Construct it once per (container family, element type) with
-// RegisterElemOps — typically cached per element type by the container
-// package — and route the container's Set/Get/SetBulk/GetBulk through it.
+// RegisterElemOps — inside OncePerType when the family is generic — and route
+// the container's Set/Get/SetBulk/GetBulk through it.
 type ElemOps[G any, B BContainer, V any] struct {
 	name     string
 	setApply func(loc *runtime.Location, bc B, gid G, v V)
@@ -55,10 +80,11 @@ func (o *ElemOps[G, B, V]) OpIDs() [4]runtime.OpID {
 
 // Pooled argument records.  Ownership follows the request: a locally applied
 // argument is recycled by the hop that consumed it, a shipped argument
-// belongs to the destination handler (in-process) or is recycled by the wire
-// adapter after encoding (self-decoding sends).  The pools are untyped and
-// shared across instantiations; a record that comes back under the wrong
-// type parameters is dropped for the GC, like bulkArgsPool.
+// belongs to the destination handler (in-process or rendezvous delivery) or
+// is recycled by the wire adapter after encoding (self-decoding sends).  The
+// pools are untyped and shared across instantiations; a record that comes
+// back under the wrong type parameters is dropped for the GC, like
+// bulkArgsPool.
 
 // esArgs is one element-set operation in flight.
 type esArgs[G any, V any] struct {
@@ -68,9 +94,9 @@ type esArgs[G any, V any] struct {
 	hops  int
 }
 
-// egArgs is one element-get operation in flight.  fut rides only through
-// in-process delivery; on a self-decoding transport the (origin, token) pair
-// identifies the completion instead and fut stays nil at the destination.
+// egArgs is one element-get operation in flight.  fut rides whenever the
+// record travels by pointer; a request that crosses by value is completed
+// through the (origin, token) pair instead and fut stays nil.
 type egArgs[G any, V any] struct {
 	gid    G
 	hops   int
@@ -89,9 +115,9 @@ type bsArgs[G any, V any] struct {
 }
 
 // bgArgs is one shipped bulk-get group.  poss maps each element to its
-// position in the origin's result slice.  out/tr ride only through
-// in-process delivery (like egArgs.fut); over the wire the (origin, token)
-// pair routes the gathered values home.
+// position in the origin's result slice.  out/tr ride whenever the record
+// travels by pointer (like egArgs.fut); a group that crossed by value sends
+// its gathered values home under the (origin, token) pair.
 type bgArgs[G any, V any] struct {
 	gids       []G
 	poss       []int
@@ -200,8 +226,9 @@ func putBgRet[V any](r *bgRet[V]) {
 // family at one element type and returns their handle set.  name must be
 // unique and stable across cooperating processes (derive it from the codec
 // names, never from registration order); registering the same name twice
-// panics, so callers cache the result per element type.  setApply/getApply
-// run at the owning base container under the container's data bracket.
+// panics, so generic callers wrap the call in OncePerType.  The operations
+// cross wires by value iff both codecs do.  setApply/getApply run at the
+// owning base container under the container's data bracket.
 func RegisterElemOps[G any, B BContainer, V any](
 	name string,
 	gidCodec transport.Codec[G],
@@ -211,15 +238,14 @@ func RegisterElemOps[G any, B BContainer, V any](
 ) *ElemOps[G, B, V] {
 	o := &ElemOps[G, B, V]{name: name, setApply: setApply, getApply: getApply}
 
-	esCodec := transport.Codec[*esArgs[G, V]]{
-		Name: name + "/set-args",
-		Encode: func(b *transport.Buffer, a *esArgs[G, V]) {
+	esCodec := transport.Derive(name+"/set-args",
+		func(b *transport.Buffer, a *esArgs[G, V]) {
 			gidCodec.Encode(b, a.gid)
 			valCodec.Encode(b, a.val)
 			b.PutVarint(int64(a.bytes))
 			b.PutVarint(int64(a.hops))
 		},
-		Decode: func(b *transport.Buffer) *esArgs[G, V] {
+		func(b *transport.Buffer) *esArgs[G, V] {
 			a := getEsArgs[G, V]()
 			a.gid = gidCodec.Decode(b)
 			a.val = valCodec.Decode(b)
@@ -227,21 +253,20 @@ func RegisterElemOps[G any, B BContainer, V any](
 			a.hops = int(b.Varint())
 			return a
 		},
-	}
+		gidCodec, valCodec)
 	o.set = runtime.RegisterOp(name+"/set", esCodec,
 		func(obj any, _ *runtime.Location, a *esArgs[G, V]) {
 			o.setHop(obj.(*Container[G, B]), a)
 		}, putEsArgs[G, V])
 
-	egCodec := transport.Codec[*egArgs[G, V]]{
-		Name: name + "/get-args",
-		Encode: func(b *transport.Buffer, a *egArgs[G, V]) {
+	egCodec := transport.Derive(name+"/get-args",
+		func(b *transport.Buffer, a *egArgs[G, V]) {
 			gidCodec.Encode(b, a.gid)
 			b.PutVarint(int64(a.hops))
 			b.PutVarint(int64(a.origin))
 			b.PutUvarint(a.token)
 		},
-		Decode: func(b *transport.Buffer) *egArgs[G, V] {
+		func(b *transport.Buffer) *egArgs[G, V] {
 			a := getEgArgs[G, V]()
 			a.gid = gidCodec.Decode(b)
 			a.hops = int(b.Varint())
@@ -249,15 +274,14 @@ func RegisterElemOps[G any, B BContainer, V any](
 			a.token = b.Uvarint()
 			return a
 		},
-	}
+		gidCodec)
 	o.get = runtime.RegisterOpRet(name+"/get", egCodec, valCodec,
 		func(obj any, _ *runtime.Location, a *egArgs[G, V]) {
 			o.getHop(obj.(*Container[G, B]), a)
 		}, putEgArgs[G, V])
 
-	bsCodec := transport.Codec[*bsArgs[G, V]]{
-		Name: name + "/bulk-set-args",
-		Encode: func(b *transport.Buffer, a *bsArgs[G, V]) {
+	bsCodec := transport.Derive(name+"/bulk-set-args",
+		func(b *transport.Buffer, a *bsArgs[G, V]) {
 			b.PutUvarint(uint64(len(a.gids)))
 			for i := range a.gids {
 				gidCodec.Encode(b, a.gids[i])
@@ -266,7 +290,7 @@ func RegisterElemOps[G any, B BContainer, V any](
 			b.PutVarint(int64(a.bytesPerOp))
 			b.PutVarint(int64(a.hops))
 		},
-		Decode: func(b *transport.Buffer) *bsArgs[G, V] {
+		func(b *transport.Buffer) *bsArgs[G, V] {
 			a := getBsArgs[G, V]()
 			n := int(b.Uvarint())
 			for i := 0; i < n; i++ {
@@ -280,7 +304,7 @@ func RegisterElemOps[G any, B BContainer, V any](
 			a.hops = int(b.Varint())
 			return a
 		},
-	}
+		gidCodec, valCodec)
 	o.bulkSet = runtime.RegisterOp(name+"/bulk-set", bsCodec,
 		func(obj any, _ *runtime.Location, a *bsArgs[G, V]) {
 			c := obj.(*Container[G, B])
@@ -288,9 +312,8 @@ func RegisterElemOps[G any, B BContainer, V any](
 			putBsArgs(a)
 		}, putBsArgs[G, V])
 
-	bgCodec := transport.Codec[*bgArgs[G, V]]{
-		Name: name + "/bulk-get-args",
-		Encode: func(b *transport.Buffer, a *bgArgs[G, V]) {
+	bgCodec := transport.Derive(name+"/bulk-get-args",
+		func(b *transport.Buffer, a *bgArgs[G, V]) {
 			b.PutUvarint(uint64(len(a.gids)))
 			for i := range a.gids {
 				gidCodec.Encode(b, a.gids[i])
@@ -301,7 +324,7 @@ func RegisterElemOps[G any, B BContainer, V any](
 			b.PutVarint(int64(a.origin))
 			b.PutUvarint(a.token)
 		},
-		Decode: func(b *transport.Buffer) *bgArgs[G, V] {
+		func(b *transport.Buffer) *bgArgs[G, V] {
 			a := getBgArgs[G, V]()
 			n := int(b.Uvarint())
 			for i := 0; i < n; i++ {
@@ -317,17 +340,16 @@ func RegisterElemOps[G any, B BContainer, V any](
 			a.token = b.Uvarint()
 			return a
 		},
-	}
-	brCodec := transport.Codec[*bgRet[V]]{
-		Name: name + "/bulk-get-ret",
-		Encode: func(b *transport.Buffer, r *bgRet[V]) {
+		gidCodec)
+	brCodec := transport.Derive(name+"/bulk-get-ret",
+		func(b *transport.Buffer, r *bgRet[V]) {
 			b.PutUvarint(uint64(len(r.poss)))
 			for i := range r.poss {
 				b.PutVarint(int64(r.poss[i]))
 				valCodec.Encode(b, r.vals[i])
 			}
 		},
-		Decode: func(b *transport.Buffer) *bgRet[V] {
+		func(b *transport.Buffer) *bgRet[V] {
 			r := getBgRet[V]()
 			n := int(b.Uvarint())
 			for i := 0; i < n; i++ {
@@ -339,7 +361,7 @@ func RegisterElemOps[G any, B BContainer, V any](
 			}
 			return r
 		},
-	}
+		valCodec)
 	o.bulkGet = runtime.RegisterOpRet(name+"/bulk-get", bgCodec, brCodec,
 		func(obj any, _ *runtime.Location, a *bgArgs[G, V]) {
 			c := obj.(*Container[G, B])
@@ -350,9 +372,8 @@ func RegisterElemOps[G any, B BContainer, V any](
 	return o
 }
 
-// Set stores v at gid asynchronously: the registered twin of
-// Container.InvokeSized with a write action (same resolution, same RMI
-// flavour, same bytes).
+// Set stores v at gid asynchronously; bytes is the simulated marshalled size
+// of the value.
 func (o *ElemOps[G, B, V]) Set(c *Container[G, B], gid G, v V, bytes int) {
 	if c.Sequential() {
 		// Asynchronous methods execute synchronously under the sequential
@@ -368,45 +389,36 @@ func (o *ElemOps[G, B, V]) Set(c *Container[G, B], gid G, v V, bytes int) {
 	o.setHop(c, a)
 }
 
-// setHop performs one resolution step of a registered set, mirroring
-// invokeHop: local elements apply in place under the data bracket (no
-// counters), everything else ships the argument onward under the set op.
+// setHop performs one resolution step of a set: a local element applies in
+// place under the data bracket (no counters), everything else ships the
+// argument onward under the set op.
 func (o *ElemOps[G, B, V]) setHop(c *Container[G, B], a *esArgs[G, V]) {
-	if a.hops > maxForwardHops {
-		panic(fmt.Sprintf("core: invocation for GID %v forwarded more than %d times", a.gid, maxForwardHops))
-	}
-	dest, info := c.resolve(a.gid)
-	if info.Valid && dest == c.loc.ID() {
-		if bc, ok := c.locMgr.Get(info.BCID); ok {
-			c.ths.DataAccessPre(info.BCID, Write)
-			o.setApply(c.loc, bc, a.gid, a.val)
-			c.ths.DataAccessPost(info.BCID, Write)
-			putEsArgs(a)
-			return
-		}
-	}
-	if dest == c.loc.ID() && !info.Valid {
-		panic(fmt.Sprintf("core: GID %v cannot be resolved on its directory location", a.gid))
+	bc, bcid, dest, local := c.locate(a.gid, a.hops)
+	if local {
+		c.ths.DataAccessPre(bcid, Write)
+		o.setApply(c.loc, bc, a.gid, a.val)
+		c.ths.DataAccessPost(bcid, Write)
+		putEsArgs(a)
+		return
 	}
 	a.hops++
 	c.loc.AsyncRMIOpSized(dest, c.handle, a.bytes, o.set, a)
 }
 
-// Get returns the element at gid synchronously: the registered twin of
-// Container.InvokeRet with a read action.
+// Get returns the element at gid synchronously.
 func (o *ElemOps[G, B, V]) Get(c *Container[G, B], gid G) V {
 	return o.GetSplit(c, gid).Get().(V)
 }
 
-// GetSplit starts a split-phase registered read and returns a future for its
-// value.  On a self-decoding transport the completion travels home as a
-// KindReply frame addressed by a registered token; on in-process delivery
-// the future pointer rides inside the argument like the closure path.
+// GetSplit starts a split-phase read and returns a future for its value.
+// When the request crosses by value the completion travels home as a
+// KindReply request addressed by a registered token; otherwise the future
+// pointer rides inside the argument.
 func (o *ElemOps[G, B, V]) GetSplit(c *Container[G, B], gid G) *runtime.Future {
 	fut := c.loc.NewAbortableFuture()
 	a := getEgArgs[G, V]()
 	a.gid = gid
-	if c.loc.SelfDecodingTransport() {
+	if c.loc.OpCrossesByValue(o.get) {
 		a.origin = c.loc.ID()
 		a.token = c.loc.RegisterToken(func(v any) bool {
 			fut.Complete(v)
@@ -419,43 +431,34 @@ func (o *ElemOps[G, B, V]) GetSplit(c *Container[G, B], gid G) *runtime.Future {
 	return fut
 }
 
-// getHop performs one resolution step of a registered get, mirroring
-// invokeReplyHop: at the owner the value is read under the data bracket, the
-// reply traffic accounted when the request travelled (hops > 0), and the
-// completion routed through the future or the reply op.
+// getHop performs one resolution step of a get: at the owner the value is
+// read under the data bracket, the reply traffic accounted when the request
+// travelled (hops > 0), and the completion routed through the future or the
+// reply op.  Forwarding hops are urgent, so a blocked Get makes progress.
 func (o *ElemOps[G, B, V]) getHop(c *Container[G, B], a *egArgs[G, V]) {
-	if a.hops > maxForwardHops {
-		panic(fmt.Sprintf("core: invocation for GID %v forwarded more than %d times", a.gid, maxForwardHops))
-	}
-	dest, info := c.resolve(a.gid)
-	if info.Valid && dest == c.loc.ID() {
-		if bc, ok := c.locMgr.Get(info.BCID); ok {
-			c.ths.DataAccessPre(info.BCID, Read)
-			v := o.getApply(c.loc, bc, a.gid)
-			c.ths.DataAccessPost(info.BCID, Read)
-			if a.hops > 0 {
-				// The result travels back to the issuing location: one
-				// response message carrying the marshalled value.
-				c.loc.AccountReply(runtime.PayloadBytes(v))
-			}
-			if a.fut != nil {
-				a.fut.Complete(v)
-			} else {
-				c.loc.ReplyOp(a.origin, c.handle, o.get, a.token, v)
-			}
-			putEgArgs(a)
-			return
+	bc, bcid, dest, local := c.locate(a.gid, a.hops)
+	if local {
+		c.ths.DataAccessPre(bcid, Read)
+		v := o.getApply(c.loc, bc, a.gid)
+		c.ths.DataAccessPost(bcid, Read)
+		if a.hops > 0 {
+			// The result travels back to the issuing location: one
+			// response message carrying the marshalled value.
+			c.loc.AccountReply(runtime.PayloadBytes(v))
 		}
-	}
-	if dest == c.loc.ID() && !info.Valid {
-		panic(fmt.Sprintf("core: GID %v cannot be resolved on its directory location", a.gid))
+		if a.fut != nil {
+			a.fut.Complete(v)
+		} else {
+			c.loc.ReplyOp(a.origin, c.handle, o.get, a.token, v)
+		}
+		putEgArgs(a)
+		return
 	}
 	a.hops++
 	c.loc.AsyncRMIUrgentOp(dest, c.handle, o.get, a)
 }
 
-// SetBulk stores vals[k] at gids[k] for every k, asynchronously: the
-// registered twin of Container.InvokeBulk with a write action.  Both slices
+// SetBulk stores vals[k] at gids[k] for every k, asynchronously.  Both slices
 // are the caller's; shipped groups copy their subsets into pooled records,
 // so the caller's slices are not retained past the call.
 func (o *ElemOps[G, B, V]) SetBulk(c *Container[G, B], gids []G, vals []V, bytesPerOp int) {
@@ -471,17 +474,13 @@ func (o *ElemOps[G, B, V]) SetBulk(c *Container[G, B], gids []G, vals []V, bytes
 	o.bulkSetHop(c, gids, vals, bytesPerOp, 0)
 }
 
-// bulkSetHop performs one resolution step of a registered bulk set over
-// compact parallel slices, mirroring bulkHop: one metadata bracket resolves
-// the whole batch, local groups apply under one data bracket per base
-// container, and every other group ships ONE self-decoding bulk request
-// carrying its subset.
+// bulkSetHop performs one resolution step of a bulk set over compact parallel
+// slices: one metadata bracket resolves the whole batch (resolveGroups),
+// local groups apply under one data bracket per base container, and every
+// other group ships ONE bulk request carrying its subset.
 func (o *ElemOps[G, B, V]) bulkSetHop(c *Container[G, B], gids []G, vals []V, bytesPerOp, hops int) {
-	if hops > maxForwardHops {
-		panic(fmt.Sprintf("core: bulk invocation forwarded more than %d times", maxForwardHops))
-	}
 	self := c.loc.ID()
-	s := o.bulkResolveGroups(c, gids)
+	s := c.resolveGroups(gids, nil, hops)
 	defer putBulkScratch(s)
 	for gi := range s.groups {
 		g := &s.groups[gi]
@@ -523,8 +522,7 @@ func (o *ElemOps[G, B, V]) shipSetGroup(c *Container[G, B], dest int, gids []G, 
 }
 
 // GetBulk reads the elements named by gids into out (out[k] receives the
-// value of gids[k]) and blocks until all of them arrived: the registered
-// twin of Container.InvokeBulkSync with a gathering read action.
+// value of gids[k]) and blocks until all of them arrived.
 func (o *ElemOps[G, B, V]) GetBulk(c *Container[G, B], gids []G, out []V, bytesPerOp int) {
 	if len(gids) == 0 {
 		return
@@ -538,8 +536,8 @@ func (o *ElemOps[G, B, V]) GetBulk(c *Container[G, B], gids []G, out []V, bytesP
 	tr := &bulkTracker{done: make(chan struct{})}
 	tr.remaining.Store(int64(len(gids)))
 	var token uint64
-	selfDec := c.loc.SelfDecodingTransport()
-	if selfDec {
+	byValue := c.loc.OpCrossesByValue(o.bulkGet)
+	if byValue {
 		// Remote groups answer with one bgRet per group; the callback
 		// scatters it into out and stays registered until every element
 		// arrived (it never self-removes — groups arrive independently).
@@ -556,22 +554,19 @@ func (o *ElemOps[G, B, V]) GetBulk(c *Container[G, B], gids []G, out []V, bytesP
 	}
 	o.bulkGetHop(c, gids, nil, bytesPerOp, 0, c.loc.ID(), token, out, tr)
 	c.loc.WaitDone(tr.done)
-	if selfDec {
+	if byValue {
 		c.loc.UnregisterToken(token)
 	}
 }
 
-// bulkGetHop performs one resolution step of a registered bulk get.  poss
-// maps each element of gids to its position in the origin's result slice
-// (nil means identity — the origin's own call).  out/tr are non-nil only
-// while the hop runs in the origin's process; a group that crossed a
-// self-decoding wire answers with ReplyOp instead.
+// bulkGetHop performs one resolution step of a bulk get.  poss maps each
+// element of gids to its position in the origin's result slice (nil means
+// identity — the origin's own call).  out/tr are non-nil while the group has
+// travelled by pointer; a group that crossed by value answers with ReplyOp
+// instead.
 func (o *ElemOps[G, B, V]) bulkGetHop(c *Container[G, B], gids []G, poss []int, bytesPerOp, hops, origin int, token uint64, out []V, tr *bulkTracker) {
-	if hops > maxForwardHops {
-		panic(fmt.Sprintf("core: bulk invocation forwarded more than %d times", maxForwardHops))
-	}
 	self := c.loc.ID()
-	s := o.bulkResolveGroups(c, gids)
+	s := c.resolveGroups(gids, nil, hops)
 	defer putBulkScratch(s)
 	for gi := range s.groups {
 		g := &s.groups[gi]
@@ -602,8 +597,8 @@ func (o *ElemOps[G, B, V]) bulkGetHop(c *Container[G, B], gids []G, poss []int, 
 				}
 				tr.complete(len(g.idxs))
 			} else {
-				// The group crossed a self-decoding wire: gather into one
-				// reply and send it home under the origin's token.
+				// The group crossed by value: gather into one reply and send
+				// it home under the origin's token.
 				r := getBgRet[V]()
 				for _, k := range g.idxs {
 					pos := k
@@ -642,57 +637,4 @@ func (o *ElemOps[G, B, V]) shipGetGroup(c *Container[G, B], dest int, gids []G, 
 	a.bytesPerOp, a.hops, a.origin, a.token = bytesPerOp, hops, origin, token
 	a.out, a.tr = out, tr
 	c.loc.AsyncRMIBulkOp(dest, c.handle, len(group), bytesPerOp*len(group), o.bulkGet, a)
-}
-
-// bulkResolveGroups resolves gids under one metadata bracket (preferring the
-// resolver's bulk fast path) and groups them by owner exactly like bulkHop:
-// local elements by base container, remote elements by destination.  The
-// returned scratch (and the group index slices it holds) belongs to the
-// caller.
-func (o *ElemOps[G, B, V]) bulkResolveGroups(c *Container[G, B], gids []G) *bulkScratch {
-	self := c.loc.ID()
-	n := len(gids)
-	s := getBulkScratch(n)
-	func() {
-		c.ths.MetadataAccessPre(Read)
-		defer c.ths.MetadataAccessPost(Read)
-		if br, ok := c.resolver.(BulkResolver[G]); ok {
-			br.ResolveBulk(gids, nil, s.targets[:n])
-			return
-		}
-		for i := 0; i < n; i++ {
-			info := c.resolver.Find(gids[i])
-			if info.Valid {
-				s.targets[i] = Placement{Dest: c.resolver.OwnerOf(info.BCID), BCID: info.BCID}
-			} else {
-				s.targets[i] = Placement{Dest: info.Hint, BCID: partition.InvalidBCID}
-			}
-		}
-	}()
-	last := -1
-	for i := 0; i < n; i++ {
-		t := s.targets[i]
-		if t.BCID < 0 && t.Dest == self {
-			panic(fmt.Sprintf("core: GID %v cannot be resolved on its directory location", gids[i]))
-		}
-		key := t.BCID
-		if t.Dest != self {
-			key = partition.InvalidBCID
-		}
-		if last < 0 || s.groups[last].dest != t.Dest || s.groups[last].bcid != key {
-			last = -1
-			for j := range s.groups {
-				if s.groups[j].dest == t.Dest && s.groups[j].bcid == key {
-					last = j
-					break
-				}
-			}
-			if last < 0 {
-				s.groups = append(s.groups, bulkGroup{dest: t.Dest, bcid: key, idxs: getBulkIdxs()})
-				last = len(s.groups) - 1
-			}
-		}
-		s.groups[last].idxs = append(s.groups[last].idxs, i)
-	}
-	return s
 }

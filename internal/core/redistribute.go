@@ -1,7 +1,6 @@
 package core
 
 import (
-	"reflect"
 	"sync"
 	"unsafe"
 
@@ -62,10 +61,8 @@ type MigrationSpec[E any, B BContainer] struct {
 	// marshalled size and only a type no tier knows falls back to the flat
 	// default — counted in the SizerMisses statistic instead of silently.
 	Bytes func(e E) int
-	// Ops, when non-nil, ships phase-2 element transfers as registered
-	// operations (RegisterMigrationOps) instead of closures, so the
-	// redistribution is self-decoding on wire transports and works across
-	// process boundaries.  Counter-for-counter identical to the closure path.
+	// Ops is the registered operation (RegisterMigrationOps) the phase-2
+	// element transfers travel under.  Required.
 	Ops *MigrationOps[E]
 	// Install swaps the staged storage into the container; the containers
 	// also replace their resolver and distribution metadata here.  It runs
@@ -88,16 +85,11 @@ func (m *migrator[E, B]) recv(b partition.BCID, e E) {
 	m.mu.Unlock()
 }
 
-// recvMig satisfies migSink[E]: the registered migration operation addresses
-// the migrator through the element type alone, without knowing B.
-func (m *migrator[E, B]) recvMig(b partition.BCID, e E) { m.recv(b, e) }
-
-// migSink is the handler-side face of a migrator: registered migration
-// operations type-assert the addressed object to migSink[E], so one
-// registration per element type serves every base-container type that ships
-// that element.
+// migSink is the handler-side face of a migrator: migration operations
+// type-assert the addressed object to migSink[E], so one registration per
+// element type serves every base-container type that ships that element.
 type migSink[E any] interface {
-	recvMig(b partition.BCID, e E)
+	recv(b partition.BCID, e E)
 }
 
 // migArgs is one registered phase-2 element transfer in flight.
@@ -122,11 +114,9 @@ func putMigArgs[E any](a *migArgs[E]) {
 	migArgsPool.Put(a)
 }
 
-// MigrationOps is the registered-operation form of the phase-2 element
-// transfer for one element type: with it in a MigrationSpec, redistribution
-// traffic is self-decoding (runs across process boundaries) instead of
-// carrying Go closures.  Obtain one per element type from
-// RegisterMigrationOps and cache it — registration names must be unique.
+// MigrationOps is the registered phase-2 element transfer for one element
+// type.  Obtain one per element type from RegisterMigrationOps (inside
+// OncePerType when the type is generic — registration names must be unique).
 type MigrationOps[E any] struct {
 	name string
 	op   runtime.OpID
@@ -135,30 +125,40 @@ type MigrationOps[E any] struct {
 // RegisterMigrationOps registers the phase-2 migration operation for one
 // element type and returns its handle.  name must be unique and stable across
 // cooperating processes (derive it from the element codec's name, never from
-// registration order); registering the same name twice panics, so callers
-// cache the result per element type.
+// registration order); registering the same name twice panics.  The transfer
+// crosses wires by value iff elem does, so with a real element codec the
+// redistribution runs across process boundaries.
 func RegisterMigrationOps[E any](name string, elem transport.Codec[E]) *MigrationOps[E] {
-	codec := transport.Codec[*migArgs[E]]{
-		Name: name + "/migrate-args",
-		Encode: func(b *transport.Buffer, a *migArgs[E]) {
+	codec := transport.Derive(name+"/migrate-args",
+		func(b *transport.Buffer, a *migArgs[E]) {
 			b.PutVarint(int64(a.bcid))
 			elem.Encode(b, a.elem)
 		},
-		Decode: func(b *transport.Buffer) *migArgs[E] {
+		func(b *transport.Buffer) *migArgs[E] {
 			a := getMigArgs[E]()
 			a.bcid = partition.BCID(b.Varint())
 			a.elem = elem.Decode(b)
 			return a
 		},
-	}
+		elem)
 	o := &MigrationOps[E]{name: name}
 	o.op = runtime.RegisterOp(name+"/migrate", codec,
 		func(obj any, _ *runtime.Location, a *migArgs[E]) {
-			obj.(migSink[E]).recvMig(a.bcid, a.elem)
+			obj.(migSink[E]).recv(a.bcid, a.elem)
 			putMigArgs(a)
 		},
 		putMigArgs[E])
 	return o
+}
+
+// MigrationOpsOf returns the migration operation for an element type that
+// needs no record codec of its own: E's typed codec when it has one,
+// otherwise by reference.
+func MigrationOpsOf[E any]() *MigrationOps[E] {
+	return OncePerType(func() *MigrationOps[E] {
+		codec := transport.CodecOf[E]()
+		return RegisterMigrationOps("core.migrate["+codec.Name+"]", codec)
+	})
 }
 
 // RunMigration executes the collective redistribution protocol described by
@@ -190,15 +190,9 @@ func RunMigration[E any, B BContainer](loc *runtime.Location, spec MigrationSpec
 		} else {
 			bytes = loc.PayloadBytes(e)
 		}
-		if spec.Ops != nil {
-			a := getMigArgs[E]()
-			a.bcid, a.elem = b, e
-			loc.AsyncRMIOpSized(owner, h, bytes, spec.Ops.op, a)
-			return
-		}
-		loc.AsyncRMISized(owner, h, bytes, func(obj any, _ *runtime.Location) {
-			obj.(*migrator[E, B]).recv(b, e)
-		})
+		a := getMigArgs[E]()
+		a.bcid, a.elem = b, e
+		loc.AsyncRMIOpSized(owner, h, bytes, spec.Ops.op, a)
 	})
 	loc.Fence()
 
@@ -236,44 +230,21 @@ func ElemBytes[T any]() int {
 	return 8 + int(unsafe.Sizeof(t))
 }
 
-// Per-value-type cache of the indexed migration registration: one
-// registration serves every indexed container at the same T (the name derives
-// from the codec name, stable across processes), and a T without a typed
-// codec caches nil — the closure fallback.
-var (
-	idxMigMu  sync.Mutex
-	idxMigReg = map[reflect.Type]any{} // *MigrationOps[IndexedElem[T]] per T; nil when T has no codec
-)
-
-// indexedMigOpsFor returns the registered migration operation for
-// IndexedElem[T], or nil when T has no typed codec.
+// indexedMigOpsFor returns the migration operation for IndexedElem[T]: one
+// registration serves every indexed container at the same T.
 func indexedMigOpsFor[T any]() *MigrationOps[IndexedElem[T]] {
-	t := reflect.TypeOf((*T)(nil)).Elem()
-	idxMigMu.Lock()
-	defer idxMigMu.Unlock()
-	if v, ok := idxMigReg[t]; ok {
-		if v == nil {
-			return nil
-		}
-		return v.(*MigrationOps[IndexedElem[T]])
-	}
-	codec, ok := transport.TypedCodecFor[T]()
-	if !ok {
-		idxMigReg[t] = nil
-		return nil
-	}
-	o := RegisterMigrationOps("core.indexed["+codec.Name+"]", transport.Codec[IndexedElem[T]]{
-		Name: "core.indexed-elem[" + codec.Name + "]",
-		Encode: func(b *transport.Buffer, v IndexedElem[T]) {
-			b.PutVarint(v.GID)
-			codec.Encode(b, v.Val)
-		},
-		Decode: func(b *transport.Buffer) IndexedElem[T] {
-			return IndexedElem[T]{GID: b.Varint(), Val: codec.Decode(b)}
-		},
+	return OncePerType(func() *MigrationOps[IndexedElem[T]] {
+		codec := transport.CodecOf[T]()
+		return RegisterMigrationOps("core.indexed["+codec.Name+"]", transport.Derive("core.indexed-elem["+codec.Name+"]",
+			func(b *transport.Buffer, v IndexedElem[T]) {
+				b.PutVarint(v.GID)
+				codec.Encode(b, v.Val)
+			},
+			func(b *transport.Buffer) IndexedElem[T] {
+				return IndexedElem[T]{GID: b.Varint(), Val: codec.Decode(b)}
+			},
+			codec))
 	})
-	idxMigReg[t] = o
-	return o
 }
 
 // RedistributeIndexed migrates the elements of a one-dimensional indexed

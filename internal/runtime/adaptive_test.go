@@ -162,7 +162,7 @@ func adaptiveWorkloadStats(t *testing.T, factory TransportFactory, max int) Stat
 			loc.AsyncRMI(dest, h, func(o any, _ *Location) { o.(*counterObj).add(100) })
 		}
 		loc.AsyncRMIBulk(dest, h, 8, 64, func(o any, _ *Location) { o.(*counterObj).add(1000) })
-		if got := SyncRMIT(loc, dest, h, func(o any, _ *Location) int64 { return o.(*counterObj).get() }); got < 0 {
+		if got := syncGet(loc, dest, h); got < 0 {
 			t.Errorf("sync checkpoint returned %d", got)
 		}
 		loc.Fence()

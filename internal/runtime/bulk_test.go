@@ -91,7 +91,7 @@ func TestBulkFIFOWithBufferedAndUrgentTraffic(t *testing.T) {
 				// ...and a synchronous request closing the round.
 				{
 					v := emit()
-					SyncRMIT(loc, 1, h, func(o any, _ *Location) int64 {
+					loc.SyncRMI(1, h, func(o any, _ *Location) any {
 						o.(*seqObj).append(v)
 						return v
 					})
@@ -141,24 +141,23 @@ func TestHandleTableSnapshotUnderChurn(t *testing.T) {
 	})
 }
 
-func TestSyncAndSplitAccountBytes(t *testing.T) {
+func TestSyncAndUrgentAccountBytes(t *testing.T) {
 	m := NewMachine(2, DefaultConfig())
 	m.Execute(func(loc *Location) {
 		obj := &seqObj{}
 		h := loc.RegisterObject(obj)
 		loc.Barrier()
 		if loc.ID() == 0 {
-			SyncRMIT(loc, 1, h, func(o any, _ *Location) int64 { return 7 })
-			SplitRMIT(loc, 1, h, func(o any, _ *Location) int64 { return 9 }).Get()
+			loc.SyncRMI(1, h, func(o any, _ *Location) any { return int64(7) })
 			loc.AsyncRMIUrgent(1, h, func(o any, _ *Location) {})
 		}
 		loc.Fence()
 	})
 	s := m.Stats()
-	// Each flavour accounts at least the request descriptor; sync and split
-	// also account their response payloads.
-	want := int64(3*requestOverheadBytes + 2*8)
+	// Each flavour accounts at least the request descriptor; sync also
+	// accounts its response payload.
+	want := int64(2*requestOverheadBytes + 8)
 	if s.BytesSimulated < want {
-		t.Errorf("BytesSimulated = %d, want >= %d (sync/split/urgent must feed byte accounting)", s.BytesSimulated, want)
+		t.Errorf("BytesSimulated = %d, want >= %d (sync/urgent must feed byte accounting)", s.BytesSimulated, want)
 	}
 }

@@ -59,7 +59,7 @@ func faultWorkload(loc *Location) {
 		for i := 0; i < 64; i++ {
 			loc.AsyncRMI(d, h, func(o any, _ *Location) { o.(*counterObj).add(1) })
 		}
-		SyncRMIT(loc, d, h, func(o any, _ *Location) int64 { return o.(*counterObj).get() })
+		syncGet(loc, d, h)
 	}
 	loc.Fence()
 }
@@ -271,7 +271,7 @@ func TestSyncRMIUnblocksOnAbort(t *testing.T) {
 		h := loc.RegisterObject(obj)
 		loc.Barrier()
 		if loc.ID() == 0 {
-			SyncRMIT(loc, 1, h, func(o any, _ *Location) int64 { return o.(*counterObj).get() })
+			syncGet(loc, 1, h)
 		}
 		loc.Fence()
 	})
@@ -302,7 +302,7 @@ func TestFutureUnblocksOnAbort(t *testing.T) {
 		h := loc.RegisterObject(obj)
 		loc.Barrier()
 		if loc.ID() == 0 {
-			fut := SplitRMIT(loc, 1, h, func(o any, _ *Location) int64 { return o.(*counterObj).get() })
+			fut := splitGet(loc, 1, h)
 			fut.Get()
 		}
 		loc.Fence()
@@ -314,6 +314,38 @@ func TestFutureUnblocksOnAbort(t *testing.T) {
 		t.Fatalf("future waiter status = %v, want unwound", fault.Status[0])
 	}
 	assertNoRuntimeGoroutines(t)
+}
+
+// TestBarrierSeesAbortThatLandedBeforeItsWait replays the interleaving in
+// which a location passes barrier's entry abort check, the machine then
+// aborts completely (channel closed, waiters broadcast — there are none yet),
+// and only then the location takes barMu: it must see the abort before it
+// waits, because no second broadcast will come.  The test holds barMu to park
+// the location in that window and performs abort()'s barrier steps itself.
+func TestBarrierSeesAbortThatLandedBeforeItsWait(t *testing.T) {
+	m := NewMachine(2, DefaultConfig())
+	m.beginRun()
+	m.barMu.Lock()
+	unwound := make(chan any, 1)
+	go func() {
+		defer func() { unwound <- recover() }()
+		m.barrier()
+	}()
+	// Let the location pass its entry check and queue on barMu.  Should it
+	// be slower than this, it unwinds at the entry check instead and the test
+	// passes without exercising the window.
+	time.Sleep(50 * time.Millisecond)
+	m.abortOnce.Do(func() { close(m.abortCh) })
+	m.barCv.Broadcast()
+	m.barMu.Unlock()
+	select {
+	case r := <-unwound:
+		if _, ok := r.(abortSignal); !ok {
+			t.Fatalf("barrier returned %v, want an abort unwind", r)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("location waits in Barrier for a wakeup that was already delivered")
+	}
 }
 
 // TestFaultInjectionFromEnv pins the PCF_CHAOS_PANIC / PCF_CHAOS_STALL

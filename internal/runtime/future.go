@@ -2,7 +2,8 @@ package runtime
 
 import "sync"
 
-// Future is the handle returned by split-phase RMIs (the paper's pc_future).
+// Future is the handle returned by split-phase container methods (the paper's
+// pc_future).
 // Get blocks until the remote method has executed and its result is
 // available.  A Future is completed exactly once and may be read any number
 // of times from any goroutine.
@@ -16,16 +17,9 @@ type Future struct {
 	done      chan struct{} // allocated lazily by the first blocking Get
 	completed bool
 	value     any
-	// onWaitLoc/onWaitDest, when set, identify the aggregation buffer
-	// holding the split-phase request.  The first caller that has to block
-	// in Get flushes it, guaranteeing progress even when fewer requests
-	// than the aggregation factor were issued.  Fields instead of a closure
-	// so issuing a split-phase RMI allocates no capture.
-	onWaitLoc  *Location
-	onWaitDest int
-	// abort, when set (split-phase RMIs), is the owning machine's abort
-	// channel; a nil channel never fires, so plain futures block exactly
-	// as before.
+	// abort, when set (Location.NewAbortableFuture), is the owning machine's
+	// abort channel; a nil channel never fires, so a plain future blocks
+	// until completed.
 	abort <-chan struct{}
 }
 
@@ -63,18 +57,6 @@ func (f *Future) Get() any {
 		v := f.value
 		f.mu.Unlock()
 		return v
-	}
-	if f.onWaitLoc != nil {
-		loc, dest := f.onWaitLoc, f.onWaitDest
-		f.onWaitLoc = nil
-		f.mu.Unlock()
-		loc.flushDest(dest)
-		f.mu.Lock()
-		if f.completed {
-			v := f.value
-			f.mu.Unlock()
-			return v
-		}
 	}
 	if f.done == nil {
 		f.done = make(chan struct{})
@@ -115,7 +97,7 @@ func (f *Future) Done() bool {
 	return f.completed
 }
 
-// FutureOf is a typed wrapper around Future produced by SplitRMIT.
+// FutureOf is a typed wrapper around Future (see NewFutureOf).
 type FutureOf[T any] struct {
 	f *Future
 }

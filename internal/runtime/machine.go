@@ -148,7 +148,6 @@ type Stats struct {
 	RMIsHandled    int64 // handlers executed
 	SyncRMIs       int64
 	AsyncRMIs      int64
-	SplitRMIs      int64
 	BulkRMIs       int64 // bulk requests issued
 	BulkOps        int64 // element operations carried by bulk requests
 	DirectoryRMIs  int64 // RMIs carrying directory maintenance (publish, fill, epoch)
@@ -164,7 +163,6 @@ func (s Stats) Add(o Stats) Stats {
 	s.RMIsHandled += o.RMIsHandled
 	s.SyncRMIs += o.SyncRMIs
 	s.AsyncRMIs += o.AsyncRMIs
-	s.SplitRMIs += o.SplitRMIs
 	s.BulkRMIs += o.BulkRMIs
 	s.BulkOps += o.BulkOps
 	s.DirectoryRMIs += o.DirectoryRMIs
@@ -182,7 +180,6 @@ func (s Stats) Sub(o Stats) Stats {
 	s.RMIsHandled -= o.RMIsHandled
 	s.SyncRMIs -= o.SyncRMIs
 	s.AsyncRMIs -= o.AsyncRMIs
-	s.SplitRMIs -= o.SplitRMIs
 	s.BulkRMIs -= o.BulkRMIs
 	s.BulkOps -= o.BulkOps
 	s.DirectoryRMIs -= o.DirectoryRMIs
@@ -204,14 +201,13 @@ type statShard struct {
 	rmisHandled    atomic.Int64
 	syncRMIs       atomic.Int64
 	asyncRMIs      atomic.Int64
-	splitRMIs      atomic.Int64
 	bulkRMIs       atomic.Int64
 	bulkOps        atomic.Int64
 	directoryRMIs  atomic.Int64
 	fences         atomic.Int64
 	bytesSimulated atomic.Int64
 	sizerMisses    atomic.Int64
-	_              [32]byte // pad to a multiple of 64 bytes
+	_              [40]byte // pad to a multiple of 64 bytes
 }
 
 // NewMachine creates a machine with p locations and the given configuration.
@@ -293,7 +289,6 @@ func (m *Machine) foldShards() Stats {
 		s.RMIsHandled += l.stats.rmisHandled.Load()
 		s.SyncRMIs += l.stats.syncRMIs.Load()
 		s.AsyncRMIs += l.stats.asyncRMIs.Load()
-		s.SplitRMIs += l.stats.splitRMIs.Load()
 		s.BulkRMIs += l.stats.bulkRMIs.Load()
 		s.BulkOps += l.stats.bulkOps.Load()
 		s.DirectoryRMIs += l.stats.directoryRMIs.Load()
@@ -318,7 +313,6 @@ func (l *Location) Stats() Stats {
 		RMIsHandled:    l.stats.rmisHandled.Load(),
 		SyncRMIs:       l.stats.syncRMIs.Load(),
 		AsyncRMIs:      l.stats.asyncRMIs.Load(),
-		SplitRMIs:      l.stats.splitRMIs.Load(),
 		BulkRMIs:       l.stats.bulkRMIs.Load(),
 		BulkOps:        l.stats.bulkOps.Load(),
 		DirectoryRMIs:  l.stats.directoryRMIs.Load(),
@@ -634,11 +628,14 @@ func (m *Machine) barrier() {
 		return
 	}
 	for phase == m.barPhase {
-		m.barCv.Wait()
+		// Checked under barMu before every wait: abort() broadcasts under
+		// the same lock, so an abort that lands after checkAbort above is
+		// either seen here or wakes the wait.
 		if m.aborted() {
 			m.barMu.Unlock()
 			panic(abortSignal{})
 		}
+		m.barCv.Wait()
 	}
 	m.barMu.Unlock()
 }
@@ -849,30 +846,9 @@ func (l *Location) execute(req *rmiRequest) {
 	}
 	l.maybeInjectFault()
 	l.stats.rmisHandled.Add(1)
-	obj := l.object(req.handle)
-	switch {
-	case req.resp != nil:
-		if req.retArgFn != nil {
-			req.resp <- req.retArgFn(obj, l, req.arg)
-		} else {
-			req.resp <- req.retFn(obj, l)
-		}
-	case req.fut != nil:
-		// Split-phase request executed natively: the server computes the
-		// result, accounts the simulated reply traffic and completes the
-		// caller's future — no wrapper closure on the request path.
-		var out any
-		if req.retArgFn != nil {
-			out = req.retArgFn(obj, l, req.arg)
-		} else {
-			out = req.retFn(obj, l)
-		}
-		l.AccountReply(l.payloadBytes(out))
-		req.fut.Complete(out)
-	case req.argFn != nil:
-		req.argFn(obj, l, req.arg)
-	default:
-		req.fn(obj, l)
+	out := req.op.exec(l.object(req.handle), l, req.arg)
+	if req.resp != nil {
+		req.resp <- out
 	}
 }
 

@@ -8,21 +8,25 @@ import (
 	"repro/internal/transport"
 )
 
-// This file implements the operation registry: the piece that makes an RMI
-// request *self-decoding*.  A registered operation binds a stable op ID to a
-// static handler plus a Codec-encoded argument type; a request issued through
-// the Op RMI variants carries its op ID into the wire descriptor, and the
-// receive path of a wire transport reconstructs and executes the request from
-// bytes alone — no sender-side rendezvous state, so the request can cross a
-// process boundary.  Requests that still carry Go closures take the
-// compatibility path through the rendezvous table (single-process wires
-// only), counted by WireStats.RendezvousFallbacks.
+// This file implements the operation registry.  A registered operation binds
+// a stable op ID to a static handler and the codecs of its argument (and
+// reply) types; the Op RMI variants issue it as ID + argument, with no
+// capturing closure.  What the codecs are for is the wire adapter's business
+// alone (see wireTransport): an operation registered with real codecs is
+// BY-VALUE — its requests cross a wire as self-decoding frames the receiver
+// reconstructs from bytes, which is what lets them cross a process boundary —
+// while an operation registered with a zero Codec is BY-REFERENCE: same
+// handler, same pooled argument, same counters, but on a wire its requests
+// travel like closures do, as bare descriptors matched to sender-side state
+// through the rendezvous table (single-process wires only, counted by
+// WireStats.RendezvousFallbacks).  Callers never ask which kind they hold.
 
 // OpID is the stable identity of a registered operation: the FNV-64a hash of
 // its registration name.  Hashing the name (rather than numbering
 // registrations) makes the ID independent of registration order, so
-// cooperating processes agree on IDs without negotiation.  Zero is reserved
-// for "unregistered closure".
+// cooperating processes agree on IDs without negotiation.  Zero is never a
+// registered operation's ID: on the wire it marks a descriptor whose request
+// waits in the sender's rendezvous table.
 type OpID uint64
 
 // opIDFor hashes a registration name to its op ID (FNV-64a).
@@ -37,7 +41,7 @@ func opIDFor(name string) OpID {
 		h *= prime64
 	}
 	if h == 0 {
-		h = 1 // preserve the "zero means closure" invariant
+		h = 1 // zero marks a rendezvous descriptor on the wire
 	}
 	return OpID(h)
 }
@@ -46,18 +50,21 @@ func opIDFor(name string) OpID {
 // the wire receive path can reconstruct any request without generics.
 type opEntry struct {
 	name string
+	id   OpID
 	// exec runs the operation at the destination.  It owns arg: handlers of
 	// pooled argument types release them after applying the operation.
-	exec func(obj any, loc *Location, arg any)
-	// encode/decode marshal the argument.  decode allocates (or takes from a
-	// pool) a fresh argument, so the decoded request owns it like a local one.
+	exec handler
+	// encode/decode marshal the argument; both nil for a by-reference
+	// operation.  decode allocates (or takes from a pool) a fresh argument, so
+	// the decoded request owns it like a local one.
 	encode func(b *transport.Buffer, arg any)
 	decode func(b *transport.Buffer) any
 	// release returns an encoded-and-dropped argument to its pool (sender
 	// side of a self-decoding batch).  May be nil.
 	release func(arg any)
 	// encodeRet/decodeRet marshal the operation's reply value (KindReply
-	// frames).  Nil for operations that return nothing.
+	// frames).  Nil for operations that return nothing, and for by-reference
+	// operations.
 	encodeRet func(b *transport.Buffer, v any)
 	decodeRet func(b *transport.Buffer) any
 }
@@ -73,7 +80,7 @@ func registerOpEntry(name string, e *opEntry) OpID {
 		panic("runtime: operation with empty name")
 	}
 	id := opIDFor(name)
-	e.name = name
+	e.name, e.id = name, id
 	opMu.Lock()
 	defer opMu.Unlock()
 	if _, dup := opsByName[name]; dup {
@@ -100,41 +107,48 @@ func opByID(id OpID) *opEntry {
 }
 
 // RegisterOp registers a void operation: a static handler plus the codec of
-// its argument type.  The returned OpID is what the Op RMI variants
-// (AsyncRMIOpSized, AsyncRMIUrgentOp, AsyncRMIBulkOp) carry into the wire
-// descriptor.  release, when non-nil, returns an argument to its pool after
-// a self-decoding send encoded and dropped it; handlers release their own
-// (decoded or locally delivered) arguments.  Registration names must be
-// unique and stable across processes — derive them from codec names, not
-// from registration order.  Panics on a duplicate name or an ID collision.
+// its argument type (a zero Codec registers a by-reference operation, see the
+// file comment).  The returned OpID is what the Op RMI variants
+// (AsyncRMIOpSized, AsyncRMIUrgentOp, AsyncRMIBulkOp) take.  release, when
+// non-nil, returns an argument to its pool after a self-decoding send encoded
+// and dropped it; handlers release their own (decoded or locally delivered)
+// arguments.  Registration names must be unique and stable across processes —
+// derive them from codec names, not from registration order.  Panics on a
+// duplicate name or an ID collision.
 func RegisterOp[A any](name string, argCodec transport.Codec[A], exec func(obj any, loc *Location, arg A), release func(A)) OpID {
-	e := &opEntry{
-		exec:   func(obj any, loc *Location, arg any) { exec(obj, loc, arg.(A)) },
-		encode: func(b *transport.Buffer, arg any) { argCodec.Encode(b, arg.(A)) },
-		decode: func(b *transport.Buffer) any { return argCodec.Decode(b) },
-	}
-	if release != nil {
-		e.release = func(arg any) { release(arg.(A)) }
-	}
-	return registerOpEntry(name, e)
+	return registerOpEntry(name, newOpEntry(argCodec, exec, release))
 }
 
 // RegisterOpRet registers a value-returning operation.  The handler computes
 // the result itself and sends it home with Location.ReplyOp (or completes the
-// in-memory future the argument carries, on a non-self-decoding transport);
-// retCodec is how the registry marshals that reply on KindReply frames.
+// in-memory future the argument carries, on in-process delivery); retCodec is
+// how a by-value operation's reply is marshalled on KindReply frames.  The
+// operation is by-value only if both codecs are.
 func RegisterOpRet[A any, R any](name string, argCodec transport.Codec[A], retCodec transport.Codec[R], exec func(obj any, loc *Location, arg A), release func(A)) OpID {
-	e := &opEntry{
-		exec:      func(obj any, loc *Location, arg any) { exec(obj, loc, arg.(A)) },
-		encode:    func(b *transport.Buffer, arg any) { argCodec.Encode(b, arg.(A)) },
-		decode:    func(b *transport.Buffer) any { return argCodec.Decode(b) },
-		encodeRet: func(b *transport.Buffer, v any) { retCodec.Encode(b, v.(R)) },
-		decodeRet: func(b *transport.Buffer) any { return retCodec.Decode(b) },
+	if !retCodec.ByValue() {
+		argCodec = transport.Codec[A]{}
+	}
+	e := newOpEntry(argCodec, exec, release)
+	if e.encode != nil {
+		e.encodeRet = func(b *transport.Buffer, v any) { retCodec.Encode(b, v.(R)) }
+		e.decodeRet = func(b *transport.Buffer) any { return retCodec.Decode(b) }
+	}
+	return registerOpEntry(name, e)
+}
+
+func newOpEntry[A any](argCodec transport.Codec[A], exec func(obj any, loc *Location, arg A), release func(A)) *opEntry {
+	e := &opEntry{exec: func(obj any, loc *Location, arg any) any {
+		exec(obj, loc, arg.(A))
+		return nil
+	}}
+	if argCodec.ByValue() {
+		e.encode = func(b *transport.Buffer, arg any) { argCodec.Encode(b, arg.(A)) }
+		e.decode = func(b *transport.Buffer) any { return argCodec.Decode(b) }
 	}
 	if release != nil {
 		e.release = func(arg any) { release(arg.(A)) }
 	}
-	return registerOpEntry(name, e)
+	return e
 }
 
 // RegisteredOps returns the names of all registered operations, sorted (for
@@ -205,21 +219,21 @@ func (l *Location) completeToken(tok uint64, v any) {
 	}
 }
 
-// SelfDecodingTransport reports whether the machine's current transport
-// reconstructs registered operations from bytes (so completions must travel
-// as tokens and KindReply frames, not shared-memory futures).  Outside an
-// Execute run there is no transport and the answer is false.
-func (l *Location) SelfDecodingTransport() bool {
+// OpCrossesByValue reports whether a request for op issued now would be
+// rebuilt from bytes at its destination: the machine's current transport is a
+// wire and op is by-value.  A value-returning operation asks before it issues
+// a request: if so the completion must travel home as a token and a KindReply
+// frame; otherwise the argument record reaches the handler by pointer (in
+// process, or through the rendezvous) and carries the future itself.  Outside
+// an Execute run there is no transport and the answer is false.
+func (l *Location) OpCrossesByValue(op OpID) bool {
 	t := l.machine.transport
-	return t != nil && t.SelfDecoding()
+	return t != nil && t.SelfDecoding() && opByID(op).encode != nil
 }
 
 // NewAbortableFuture returns a future wired to this machine's abort channel,
 // so a blocked Get unwinds instead of deadlocking when the completion will
-// never arrive (e.g. the answering process died).  It deliberately does NOT
-// arm the aggregation-flush hook: registered read paths flush eagerly like
-// their closure twins, and a wait-triggered flush would change message
-// boundaries and break counter identity across transports.
+// never arrive (the answering handler panicked, or its process died).
 func (l *Location) NewAbortableFuture() *Future {
 	fut := NewFuture()
 	fut.abort = l.machine.abortCh

@@ -767,13 +767,13 @@ type procTransport struct {
 
 func (t *procTransport) Deliver(src, dst int, batch []*rmiRequest) {
 	for _, req := range batch {
-		if req.op == 0 {
-			// A closure cannot cross a process boundary; fail the run with a
+		if !req.byValue() {
+			// Only bytes cross a process boundary; fail the run with a
 			// diagnosable fault instead of stranding a rendezvous entry the
 			// receiving process can never match.
 			t.m.recordFault(&LocationFault{
 				Location: src, Kind: FaultTransport,
-				Err: fmt.Sprintf("unregistered closure request (handle %d, kind 0x%02x) cannot cross a process boundary; register the operation (see runtime.RegisterOp)", req.handle, req.kind),
+				Err: req.describe() + " cannot cross a process boundary; register the operation with codecs (see runtime.RegisterOp)",
 			})
 			t.m.unpendSent(src, int64(len(batch)))
 			return

@@ -141,6 +141,24 @@ func TestProcHelper(t *testing.T) {
 			Kind:     fault.Cause.Kind,
 			Msg:      fmt.Sprint(fault.Cause.Err),
 		})
+	case "byref":
+		fault := m.ExecuteErr(func(loc *Location) {
+			h := loc.RegisterObject(&benchSink{})
+			loc.Barrier()
+			if loc.ID() == 0 {
+				loc.AsyncRMIUrgentOp(1, h, bumpRefOp, int64(1))
+			}
+			loc.Fence()
+		})
+		if fault == nil {
+			t.Fatalf("rank %d: a by-reference operation crossed a process boundary", rank)
+		}
+		writeTestJSON(t, filepath.Join(outDir, fmt.Sprintf("fault-%d.json", rank)), procFaultReport{
+			Rank:     rank,
+			Location: fault.Cause.Location,
+			Kind:     fault.Cause.Kind,
+			Msg:      fmt.Sprint(fault.Cause.Err),
+		})
 	default:
 		t.Fatalf("unknown helper mode %q", mode)
 	}
@@ -275,5 +293,35 @@ func TestProcLaunchKilledChild(t *testing.T) {
 		if !strings.Contains(rep.Msg, "rank 1") {
 			t.Errorf("rank %d fault message does not name the dead rank: %q", rank, rep.Msg)
 		}
+	}
+}
+
+// TestProcLaunchRefusesByReferenceOp pins the proc transport's refusal of a
+// request it cannot marshal: a by-reference operation issued across a
+// process boundary is a structured transport fault at the issuing rank that
+// NAMES the operation, and the job ends without a hang.
+func TestProcLaunchRefusesByReferenceOp(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns OS processes")
+	}
+	outDir := t.TempDir()
+	// Whether the launcher reports the faulted job as an error is not what
+	// is pinned here; that every rank returned (launchHelper's deadline) and
+	// what rank 0 saw is.
+	_ = launchHelper(t, 2, "byref", outDir)
+	raw, err := os.ReadFile(filepath.Join(outDir, "fault-0.json"))
+	if err != nil {
+		dumpChildLog(t, outDir)
+		t.Fatalf("rank 0 wrote no fault report: %v", err)
+	}
+	var rep procFaultReport
+	if err := json.Unmarshal(raw, &rep); err != nil {
+		t.Fatalf("parsing rank 0 fault report: %v", err)
+	}
+	if rep.Kind != FaultTransport || rep.Location != 0 {
+		t.Errorf("rank 0 observed %v at location %d, want a transport fault at location 0", rep.Kind, rep.Location)
+	}
+	if !strings.Contains(rep.Msg, `"runtime-test/bump-ref"`) || !strings.Contains(rep.Msg, "cannot cross a process boundary") {
+		t.Errorf("refusal does not name the operation: %q", rep.Msg)
 	}
 }

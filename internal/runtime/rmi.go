@@ -7,168 +7,112 @@ import (
 	"repro/internal/transport"
 )
 
-// rmiRequest is one remote method invocation in flight.  Exactly one of fn /
-// argFn (asynchronous, no result) or retFn / retArgFn (synchronous via resp,
-// split-phase via fut) is set.  The arg-carrying pair exists so hot paths can
-// ship a static handler plus an explicit argument instead of allocating a
-// capturing closure per request (see AsyncRMIArg).
+// handler is the one shape every request's code takes at the destination: a
+// static function applied to the addressed object and an explicit argument.
+// The result is delivered to a synchronous caller and ignored by every other
+// flavour.
+type handler func(obj any, loc *Location, arg any) any
+
+// A closure request is the argument of one of two fixed, unregistered
+// operations (id 0, no codecs): the handler calls the closure it is handed.
+// A func value is pointer-shaped, so boxing it as the argument allocates
+// nothing.
+var (
+	closureOp = &opEntry{name: "closure", exec: func(obj any, loc *Location, arg any) any {
+		arg.(func(any, *Location))(obj, loc)
+		return nil
+	}}
+	retClosureOp = &opEntry{name: "closure", exec: func(obj any, loc *Location, arg any) any {
+		return arg.(func(any, *Location) any)(obj, loc)
+	}}
+)
+
+// rmiRequest is one remote method invocation in flight: an operation (its
+// handler, and what the wire adapter needs to know to ship it) plus the
+// argument.
 type rmiRequest struct {
-	src      int
-	handle   Handle
-	kind     uint8 // transport.Kind* — the RMI flavour, for the wire descriptor
-	fn       func(obj any, loc *Location)
-	argFn    func(obj any, loc *Location, arg any)
-	retFn    func(obj any, loc *Location) any
-	retArgFn func(obj any, loc *Location, arg any) any
-	arg      any
-	resp     chan any
-	fut      *Future // split-phase: completed (and the reply accounted) by the server
-	delay    time.Duration
-	bytes    int
-	// op identifies the registered operation behind argFn (0 for closure
-	// requests).  A request with op != 0 is self-decoding: a wire transport
-	// encodes arg with the registry codec instead of rendezvousing with
-	// sender-side state.  token addresses the origin's completion callback
-	// for KindReply requests.
-	op    OpID
-	token uint64
+	src    int
+	handle Handle
+	kind   uint8 // transport.Kind* — the RMI flavour, for the wire descriptor
+	op     *opEntry
+	arg    any
+	resp   chan any // synchronous requests: where the server sends the result
+	delay  time.Duration
+	bytes  int
+	token  uint64 // KindReply: addresses the origin's completion callback
 }
 
 // requestOverheadBytes is the simulated size of a request descriptor (the
 // header every remote invocation would marshal even with an empty argument
-// list).  Synchronous, split-phase and urgent requests account it so that
-// sync-heavy experiments no longer report zero traffic.
+// list).  Synchronous and urgent requests account it so that sync-heavy
+// experiments do not report zero traffic.
 const requestOverheadBytes = 8
+
+// issue is the single path every RMI flavour takes: count the request, run it
+// in place when dest is this location (the local fast path the paper's
+// containers exploit), otherwise account the simulated bytes, build the one
+// outgoing request and hand it to the delivery its flavour calls for.  The
+// exported entry points below only bump their own flavour counter and name
+// the operation.  The result is the handler's for a local or synchronous
+// request, nil otherwise.
+func (l *Location) issue(dest int, h Handle, kind uint8, bytes int, op *opEntry, arg any) any {
+	l.stats.rmisSent.Add(1)
+	if dest == l.id {
+		l.localRMIs.Add(1)
+		return op.exec(l.object(h), l, arg)
+	}
+	// Remote requests account the fixed descriptor overhead on top of the
+	// payload; local invocations move no simulated bytes at all.
+	l.stats.bytesSimulated.Add(int64(bytes) + requestOverheadBytes)
+	l.remoteRMIs.Add(1)
+	req := getRequest()
+	*req = rmiRequest{src: l.id, handle: h, kind: kind, op: op, arg: arg, bytes: bytes, delay: l.delayTo(dest)}
+	switch kind {
+	case transport.KindAsync:
+		l.enqueue(dest, req)
+		return nil
+	case transport.KindSync:
+		return l.syncWait(dest, req)
+	default:
+		l.deliverNow(dest, req)
+		return nil
+	}
+}
+
+// deliverNow ships req as a message of its own.  The destination's
+// aggregation buffer is flushed first, so a request that bypasses the buffer
+// (urgent, bulk, synchronous) cannot overtake earlier asynchronous requests
+// on the same (source, destination) pair.
+func (l *Location) deliverNow(dest int, req *rmiRequest) {
+	l.flushDest(dest)
+	l.machine.addPending(l.id, 1)
+	l.stats.messagesSent.Add(1)
+	l.machine.transport.DeliverOne(l.id, dest, req)
+}
 
 // AsyncRMI executes fn against the representative of handle h on location
 // dest without waiting for completion.  Requests from this location to a
-// given destination are delivered and executed in invocation order.  If dest
-// is this location the handler runs immediately (the local fast path the
-// paper's containers exploit).
+// given destination are delivered and executed in invocation order.
 func (l *Location) AsyncRMI(dest int, h Handle, fn func(obj any, loc *Location)) {
 	l.AsyncRMISized(dest, h, 0, fn)
 }
 
-// AsyncRMISized is AsyncRMI with an explicit simulated payload size in
-// bytes.  Remote requests additionally account the fixed request-descriptor
-// overhead; local invocations move no simulated bytes at all.
+// AsyncRMISized is AsyncRMI with an explicit simulated payload size in bytes.
 func (l *Location) AsyncRMISized(dest int, h Handle, bytes int, fn func(obj any, loc *Location)) {
 	l.stats.asyncRMIs.Add(1)
-	l.stats.rmisSent.Add(1)
-	if dest == l.id {
-		l.localRMIs.Add(1)
-		fn(l.object(h), l)
-		return
-	}
-	l.stats.bytesSimulated.Add(int64(bytes) + requestOverheadBytes)
-	l.remoteRMIs.Add(1)
-	req := getRequest()
-	*req = rmiRequest{src: l.id, handle: h, kind: transport.KindAsync, fn: fn, bytes: bytes, delay: l.delayTo(dest)}
-	l.enqueue(dest, req)
+	l.issue(dest, h, transport.KindAsync, bytes, closureOp, fn)
 }
 
-// AsyncRMIArg is the allocation-lean flavour of AsyncRMISized: fn must be a
-// static (non-capturing) handler and receives arg explicitly at the
-// destination.  Because nothing is captured, the caller pays no closure
-// allocation per request — the framework's bulk and element paths use it so
-// steady-state traffic runs without per-op garbage (the request descriptor
-// itself is pooled).  arg crosses locations by reference: like every RMI
-// argument it must not be mutated until the handler has run.
-func (l *Location) AsyncRMIArg(dest int, h Handle, bytes int, fn func(obj any, loc *Location, arg any), arg any) {
-	l.stats.asyncRMIs.Add(1)
-	l.stats.rmisSent.Add(1)
-	if dest == l.id {
-		l.localRMIs.Add(1)
-		fn(l.object(h), l, arg)
-		return
-	}
-	l.stats.bytesSimulated.Add(int64(bytes) + requestOverheadBytes)
-	l.remoteRMIs.Add(1)
-	req := getRequest()
-	*req = rmiRequest{src: l.id, handle: h, kind: transport.KindAsync, argFn: fn, arg: arg, bytes: bytes, delay: l.delayTo(dest)}
-	l.enqueue(dest, req)
-}
-
-// AsyncRMIOpSized is AsyncRMIArg for a REGISTERED operation: op names the
-// registry entry whose static handler will run at the destination, and the
-// request is self-decoding on wire transports (the argument crosses as codec
-// bytes, never as a shared pointer).  Counter behaviour is identical to
-// AsyncRMIArg — an inproc run and a wire run report the same Stats.
+// AsyncRMIOpSized is AsyncRMISized for a REGISTERED operation: op names the
+// registry entry whose static handler runs at the destination on arg.  Nothing
+// is captured, so the caller pays no closure allocation per request, and arg
+// is typically a pooled record the handler recycles.  arg crosses in-process
+// transports by reference: like every RMI argument it must not be mutated
+// until the handler has run.  Counter behaviour is identical to the closure
+// form — and identical on every transport.
 func (l *Location) AsyncRMIOpSized(dest int, h Handle, bytes int, op OpID, arg any) {
-	e := opByID(op)
 	l.stats.asyncRMIs.Add(1)
-	l.stats.rmisSent.Add(1)
-	if dest == l.id {
-		l.localRMIs.Add(1)
-		e.exec(l.object(h), l, arg)
-		return
-	}
-	l.stats.bytesSimulated.Add(int64(bytes) + requestOverheadBytes)
-	l.remoteRMIs.Add(1)
-	req := getRequest()
-	*req = rmiRequest{src: l.id, handle: h, kind: transport.KindAsync, argFn: e.exec, arg: arg, op: op, bytes: bytes, delay: l.delayTo(dest)}
-	l.enqueue(dest, req)
-}
-
-// AsyncRMIUrgentOp is AsyncRMIUrgent for a registered operation (see
-// AsyncRMIOpSized).  The PCF's directory forwarding hops use it so a
-// forwarded element operation stays self-decoding across every hop.
-func (l *Location) AsyncRMIUrgentOp(dest int, h Handle, op OpID, arg any) {
-	e := opByID(op)
-	l.stats.asyncRMIs.Add(1)
-	l.stats.rmisSent.Add(1)
-	if dest == l.id {
-		l.localRMIs.Add(1)
-		e.exec(l.object(h), l, arg)
-		return
-	}
-	l.stats.bytesSimulated.Add(requestOverheadBytes)
-	l.remoteRMIs.Add(1)
-	l.flushDest(dest)
-	req := getRequest()
-	*req = rmiRequest{src: l.id, handle: h, kind: transport.KindUrgent, argFn: e.exec, arg: arg, op: op, delay: l.delayTo(dest)}
-	l.machine.addPending(l.id, 1)
-	l.stats.messagesSent.Add(1)
-	l.machine.transport.DeliverOne(l.id, dest, req)
-}
-
-// AsyncRMIBulkOp is AsyncRMIBulkArg for a registered operation (see
-// AsyncRMIOpSized): one self-decoding request carries a whole element group.
-func (l *Location) AsyncRMIBulkOp(dest int, h Handle, ops, bytes int, op OpID, arg any) {
-	e := opByID(op)
-	l.stats.bulkRMIs.Add(1)
-	l.stats.bulkOps.Add(int64(ops))
-	l.stats.rmisSent.Add(1)
-	if dest == l.id {
-		l.localRMIs.Add(1)
-		e.exec(l.object(h), l, arg)
-		return
-	}
-	l.stats.bytesSimulated.Add(int64(bytes) + requestOverheadBytes)
-	l.remoteRMIs.Add(1)
-	l.flushDest(dest)
-	req := getRequest()
-	*req = rmiRequest{src: l.id, handle: h, kind: transport.KindBulk, argFn: e.exec, arg: arg, op: op, bytes: bytes, delay: l.delayTo(dest)}
-	l.machine.addPending(l.id, 1)
-	l.stats.messagesSent.Add(1)
-	l.machine.transport.DeliverOne(l.id, dest, req)
-}
-
-// ReplyOp sends the result of a value-returning registered operation back to
-// the request's origin, addressed by the completion token the request
-// carried.  op names the operation whose retCodec marshals v on the wire.
-// The reply moves NO machine counters here: the handler that computed v
-// accounts the reply traffic itself with AccountReply, exactly like the
-// shared-memory completion path, so Stats stay transport-independent.
-func (l *Location) ReplyOp(dest int, h Handle, op OpID, token uint64, v any) {
-	if dest == l.id {
-		l.completeToken(token, v)
-		return
-	}
-	req := getRequest()
-	*req = rmiRequest{src: l.id, handle: h, kind: transport.KindReply, arg: v, op: op, token: token, delay: l.delayTo(dest)}
-	l.machine.addPending(l.id, 1)
-	l.machine.transport.DeliverOne(l.id, dest, req)
+	l.issue(dest, h, transport.KindAsync, bytes, opByID(op), arg)
 }
 
 // AsyncRMIUrgent behaves like AsyncRMI but bypasses the aggregation buffer:
@@ -179,28 +123,20 @@ func (l *Location) ReplyOp(dest int, h Handle, op OpID, token uint64, v any) {
 // request back for batching would stall the caller.
 func (l *Location) AsyncRMIUrgent(dest int, h Handle, fn func(obj any, loc *Location)) {
 	l.stats.asyncRMIs.Add(1)
-	l.stats.rmisSent.Add(1)
-	if dest == l.id {
-		l.localRMIs.Add(1)
-		fn(l.object(h), l)
-		return
-	}
-	l.stats.bytesSimulated.Add(requestOverheadBytes)
-	l.remoteRMIs.Add(1)
-	l.flushDest(dest)
-	req := getRequest()
-	*req = rmiRequest{src: l.id, handle: h, kind: transport.KindUrgent, fn: fn, delay: l.delayTo(dest)}
-	l.machine.addPending(l.id, 1)
-	l.stats.messagesSent.Add(1)
-	l.machine.transport.DeliverOne(l.id, dest, req)
+	l.issue(dest, h, transport.KindUrgent, 0, closureOp, fn)
+}
+
+// AsyncRMIUrgentOp is AsyncRMIUrgent for a registered operation (see
+// AsyncRMIOpSized).  The PCF's forwarding hops of registered reads use it.
+func (l *Location) AsyncRMIUrgentOp(dest int, h Handle, op OpID, arg any) {
+	l.stats.asyncRMIs.Add(1)
+	l.issue(dest, h, transport.KindUrgent, 0, opByID(op), arg)
 }
 
 // AsyncRMIBulk ships ops logical element operations to dest as ONE request
 // and one physical message: fn runs once at the destination and is expected
 // to apply the whole batch.  bytes is the simulated marshalled size of the
-// batched arguments.  Like a synchronous request it flushes the per-element
-// aggregation buffer for dest first, so bulk and per-element traffic on the
-// same (source, destination) pair stay in invocation order.
+// batched arguments.
 //
 // This is the semantic-batching primitive behind the containers' bulk
 // element methods (SetBulk/GetBulk/...): where per-element traffic pays one
@@ -209,44 +145,41 @@ func (l *Location) AsyncRMIUrgent(dest int, h Handle, fn func(obj any, loc *Loca
 func (l *Location) AsyncRMIBulk(dest int, h Handle, ops, bytes int, fn func(obj any, loc *Location)) {
 	l.stats.bulkRMIs.Add(1)
 	l.stats.bulkOps.Add(int64(ops))
-	l.stats.rmisSent.Add(1)
-	if dest == l.id {
-		l.localRMIs.Add(1)
-		fn(l.object(h), l)
-		return
-	}
-	// One request descriptor amortised over the whole group — the byte-level
-	// half of the bulk win (the per-element path pays one per element).
-	l.stats.bytesSimulated.Add(int64(bytes) + requestOverheadBytes)
-	l.remoteRMIs.Add(1)
-	l.flushDest(dest)
-	req := getRequest()
-	*req = rmiRequest{src: l.id, handle: h, kind: transport.KindBulk, fn: fn, bytes: bytes, delay: l.delayTo(dest)}
-	l.machine.addPending(l.id, 1)
-	l.stats.messagesSent.Add(1)
-	l.machine.transport.DeliverOne(l.id, dest, req)
+	l.issue(dest, h, transport.KindBulk, bytes, closureOp, fn)
 }
 
-// AsyncRMIBulkArg is AsyncRMIBulk with a static handler and an explicit
-// argument: the per-destination flush of a bulk operation ships its group
-// without allocating a capturing closure (the group itself travels in arg,
-// typically a pooled descriptor the handler recycles after applying it).
-func (l *Location) AsyncRMIBulkArg(dest int, h Handle, ops, bytes int, fn func(obj any, loc *Location, arg any), arg any) {
+// AsyncRMIBulkOp is AsyncRMIBulk for a registered operation (see
+// AsyncRMIOpSized): one request carries a whole element group in arg.
+func (l *Location) AsyncRMIBulkOp(dest int, h Handle, ops, bytes int, op OpID, arg any) {
 	l.stats.bulkRMIs.Add(1)
 	l.stats.bulkOps.Add(int64(ops))
-	l.stats.rmisSent.Add(1)
+	l.issue(dest, h, transport.KindBulk, bytes, opByID(op), arg)
+}
+
+// SyncRMI executes fn against the representative of handle h on location
+// dest and blocks until the result is available.  Synchronous RMIs issued by
+// RMI handlers themselves must not target a location whose handler is
+// blocked on this location (the framework's own handlers never block; they
+// forward asynchronously instead).
+func (l *Location) SyncRMI(dest int, h Handle, fn func(obj any, loc *Location) any) any {
+	l.stats.syncRMIs.Add(1)
+	return l.issue(dest, h, transport.KindSync, 0, retClosureOp, fn)
+}
+
+// ReplyOp sends the result of a value-returning registered operation back to
+// the request's origin, addressed by the completion token the request
+// carried.  op names the operation whose reply codec marshals v on the wire.
+// The reply moves NO machine counters here: the handler that computed v
+// accounts the reply traffic itself with AccountReply, exactly like the
+// shared-memory completion path, so Stats stay transport-independent.
+func (l *Location) ReplyOp(dest int, h Handle, op OpID, token uint64, v any) {
 	if dest == l.id {
-		l.localRMIs.Add(1)
-		fn(l.object(h), l, arg)
+		l.completeToken(token, v)
 		return
 	}
-	l.stats.bytesSimulated.Add(int64(bytes) + requestOverheadBytes)
-	l.remoteRMIs.Add(1)
-	l.flushDest(dest)
 	req := getRequest()
-	*req = rmiRequest{src: l.id, handle: h, kind: transport.KindBulk, argFn: fn, arg: arg, bytes: bytes, delay: l.delayTo(dest)}
+	*req = rmiRequest{src: l.id, handle: h, kind: transport.KindReply, arg: v, op: opByID(op), token: token, delay: l.delayTo(dest)}
 	l.machine.addPending(l.id, 1)
-	l.stats.messagesSent.Add(1)
 	l.machine.transport.DeliverOne(l.id, dest, req)
 }
 
@@ -269,58 +202,18 @@ func (l *Location) AccountReply(bytes int) {
 	l.stats.bytesSimulated.Add(int64(bytes))
 }
 
-// SyncRMI executes fn against the representative of handle h on location
-// dest and blocks until the result is available.  Synchronous RMIs issued by
-// RMI handlers themselves must not target a location whose handler is
-// blocked on this location (the framework's own handlers never block; they
-// forward asynchronously instead).
-func (l *Location) SyncRMI(dest int, h Handle, fn func(obj any, loc *Location) any) any {
-	l.stats.syncRMIs.Add(1)
-	l.stats.rmisSent.Add(1)
-	if dest == l.id {
-		l.localRMIs.Add(1)
-		return fn(l.object(h), l)
-	}
-	l.stats.bytesSimulated.Add(requestOverheadBytes)
-	l.remoteRMIs.Add(1)
-	req := getRequest()
-	*req = rmiRequest{src: l.id, handle: h, kind: transport.KindSync, retFn: fn, delay: l.delayTo(dest)}
-	return l.syncCall(dest, req)
-}
-
-// SyncRMIArg is SyncRMI with a static handler and an explicit argument: the
-// blocking round trip runs without a capturing closure on the request side.
-func (l *Location) SyncRMIArg(dest int, h Handle, fn func(obj any, loc *Location, arg any) any, arg any) any {
-	l.stats.syncRMIs.Add(1)
-	l.stats.rmisSent.Add(1)
-	if dest == l.id {
-		l.localRMIs.Add(1)
-		return fn(l.object(h), l, arg)
-	}
-	l.stats.bytesSimulated.Add(requestOverheadBytes)
-	l.remoteRMIs.Add(1)
-	req := getRequest()
-	*req = rmiRequest{src: l.id, handle: h, kind: transport.KindSync, retArgFn: fn, arg: arg, delay: l.delayTo(dest)}
-	return l.syncCall(dest, req)
-}
-
 // respPool recycles the one-slot response channels of synchronous RMIs.  A
 // channel is returned to the pool only after its response was received, so a
 // recycled channel is always empty; the abort path deliberately leaks its
 // channel because a dying handler may still complete the send.
 var respPool = sync.Pool{New: func() any { return make(chan any, 1) }}
 
-// syncCall delivers a prepared synchronous request to dest and blocks for
-// the response.  The destination's aggregation buffer is flushed first so a
-// synchronous request cannot overtake earlier asynchronous requests on the
-// same (source, destination) pair.
-func (l *Location) syncCall(dest int, req *rmiRequest) any {
+// syncWait delivers a synchronous request to dest and blocks for the
+// response.
+func (l *Location) syncWait(dest int, req *rmiRequest) any {
 	resp := respPool.Get().(chan any)
 	req.resp = resp
-	l.flushDest(dest)
-	l.machine.addPending(l.id, 1)
-	l.stats.messagesSent.Add(1)
-	l.machine.transport.DeliverOne(l.id, dest, req)
+	l.deliverNow(dest, req)
 	var out any
 	select {
 	case out = <-resp:
@@ -339,58 +232,6 @@ func (l *Location) syncCall(dest int, req *rmiRequest) any {
 	// carrying the marshalled result.
 	l.AccountReply(l.payloadBytes(out))
 	return out
-}
-
-// SplitRMI starts a split-phase invocation of fn on location dest and
-// immediately returns a Future holding the eventual result (the paper's
-// pc_future).  The calling goroutine may keep working and retrieve the value
-// later with Future.Get.
-func (l *Location) SplitRMI(dest int, h Handle, fn func(obj any, loc *Location) any) *Future {
-	l.stats.splitRMIs.Add(1)
-	l.stats.rmisSent.Add(1)
-	fut := NewFuture()
-	if dest == l.id {
-		l.localRMIs.Add(1)
-		fut.Complete(fn(l.object(h), l))
-		return fut
-	}
-	l.stats.bytesSimulated.Add(requestOverheadBytes)
-	l.remoteRMIs.Add(1)
-	req := getRequest()
-	*req = rmiRequest{src: l.id, handle: h, kind: transport.KindSplit, retFn: fn, fut: fut, delay: l.delayTo(dest)}
-	// If the caller blocks on the future before the aggregation buffer
-	// holding this request fills up, Get flushes the buffer (identified by
-	// these fields — no closure) so the request is delivered and the caller
-	// makes progress.
-	fut.onWaitLoc = l
-	fut.onWaitDest = dest
-	// A machine abort means the completion may never arrive; let Get
-	// unwind instead of deadlocking.
-	fut.abort = l.machine.abortCh
-	l.enqueue(dest, req)
-	return fut
-}
-
-// SplitRMIArg is SplitRMI with a static handler and an explicit argument:
-// the split-phase issue allocates only the Future.
-func (l *Location) SplitRMIArg(dest int, h Handle, fn func(obj any, loc *Location, arg any) any, arg any) *Future {
-	l.stats.splitRMIs.Add(1)
-	l.stats.rmisSent.Add(1)
-	fut := NewFuture()
-	if dest == l.id {
-		l.localRMIs.Add(1)
-		fut.Complete(fn(l.object(h), l, arg))
-		return fut
-	}
-	l.stats.bytesSimulated.Add(requestOverheadBytes)
-	l.remoteRMIs.Add(1)
-	req := getRequest()
-	*req = rmiRequest{src: l.id, handle: h, kind: transport.KindSplit, retArgFn: fn, arg: arg, fut: fut, delay: l.delayTo(dest)}
-	fut.onWaitLoc = l
-	fut.onWaitDest = dest
-	fut.abort = l.machine.abortCh
-	l.enqueue(dest, req)
-	return fut
 }
 
 // delayTo returns the configured artificial latency between this location
@@ -462,7 +303,7 @@ func (l *Location) AggregationTarget(dest int) int {
 // EWMA and re-derives the integer target.  threshold marks a flush that
 // happened because the buffer reached its target (sustained traffic): the
 // sample is doubled so the target probes upward toward AggregationMax.  An
-// explicit flush (fence, sync, bulk, future wait) samples the raw occupancy,
+// explicit flush (fence, sync, urgent, bulk) samples the raw occupancy,
 // so a destination that keeps flushing nearly empty decays toward 1 and
 // trickle traffic stops waiting on a batch that will never fill.
 // Caller holds aggMu.
@@ -532,11 +373,10 @@ func (l *Location) flushDest(dest int) {
 // points — so fences feed it to the controller as a floor sample of 1,
 // letting the target decay all the way back (a threshold flush at target 1
 // probes upward with a doubled sample, so without idle observations the
-// target could never settle at 1).  Only the deterministic fence-level
-// flushAll passes observeIdle: flushDest is also reached from a blocked
-// Future.Get, whose flush depends on completion timing, and an idle
-// observation there would make message boundaries — and therefore the
-// machine counters — racy.
+// target could never settle at 1).  Only the fence-level flushAll passes
+// observeIdle: the flush ahead of an urgent, bulk or synchronous request
+// (deliverNow) finds the buffer empty whenever two such requests follow each
+// other, which says nothing about the asynchronous traffic.
 func (l *Location) flushDestObserve(dest int, observeIdle bool) {
 	adaptive := l.cfg.AdaptiveAggregation
 	if !adaptive && l.cfg.Aggregation <= 1 {
@@ -571,15 +411,4 @@ func (l *Location) flushAll() {
 	for d := 0; d < l.n; d++ {
 		l.flushDestObserve(d, true)
 	}
-}
-
-// SyncRMIT is a typed convenience wrapper around Location.SyncRMI.
-func SyncRMIT[T any](l *Location, dest int, h Handle, fn func(obj any, loc *Location) T) T {
-	v := l.SyncRMI(dest, h, func(obj any, loc *Location) any { return fn(obj, loc) })
-	return v.(T)
-}
-
-// SplitRMIT is a typed convenience wrapper around Location.SplitRMI.
-func SplitRMIT[T any](l *Location, dest int, h Handle, fn func(obj any, loc *Location) T) *FutureOf[T] {
-	return &FutureOf[T]{f: l.SplitRMI(dest, h, func(obj any, loc *Location) any { return fn(obj, loc) })}
 }

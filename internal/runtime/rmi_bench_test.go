@@ -3,6 +3,8 @@ package runtime
 import (
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/transport"
 )
 
 // The micro-benchmarks pin the per-operation cost of the RMI hot path: one
@@ -42,8 +44,14 @@ func benchDrive(b *testing.B, cfg Config, body func(loc *Location, h Handle)) {
 // only for what the runtime itself allocates.
 func bump(obj any, _ *Location) { obj.(*benchSink).hits.Add(1) }
 
-// bumpArg is the argument-carrying twin of bump.
-func bumpArg(obj any, _ *Location, arg any) { obj.(*benchSink).hits.Add(arg.(int64)) }
+// bumpOp is bump as a registered operation — what every container hot path
+// issues — and bumpRefOp its by-reference twin (zero codec).
+var (
+	bumpOp    = RegisterOp("runtime-test/bump", transport.Int64Codec, bumpBy, nil)
+	bumpRefOp = RegisterOp("runtime-test/bump-ref", transport.Codec[int64]{}, bumpBy, nil)
+)
+
+func bumpBy(obj any, _ *Location, v int64) { obj.(*benchSink).hits.Add(v) }
 
 // BenchmarkAsyncRMI measures the aggregated asynchronous path with a
 // CAPTURING closure per request — the pre-optimisation container idiom.
@@ -58,15 +66,15 @@ func BenchmarkAsyncRMI(b *testing.B) {
 	})
 }
 
-// BenchmarkAsyncRMIArg measures the same path through the argument-carrying
-// variant: a static handler plus an explicit argument, no closure.
-func BenchmarkAsyncRMIArg(b *testing.B) {
+// BenchmarkAsyncRMIOp measures the same path through a registered operation:
+// a static handler plus an explicit argument, no closure.
+func BenchmarkAsyncRMIOp(b *testing.B) {
 	benchDrive(b, DefaultConfig(), func(loc *Location, h Handle) {
 		arg := any(int64(1)) // boxed once; per-op boxing is the caller's choice
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			loc.AsyncRMIArg(1, h, 0, bumpArg, arg)
+			loc.AsyncRMIOpSized(1, h, 0, bumpOp, arg)
 		}
 	})
 }
@@ -85,13 +93,14 @@ func BenchmarkSyncRMI(b *testing.B) {
 	})
 }
 
-// BenchmarkSplitRMI measures the split-phase issue + Get round trip.
-func BenchmarkSplitRMI(b *testing.B) {
+// BenchmarkSplitPhase measures the split-phase issue + Get round trip as the
+// PCF builds it: an urgent request completing an abortable future.
+func BenchmarkSplitPhase(b *testing.B) {
 	benchDrive(b, DefaultConfig(), func(loc *Location, h Handle) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			fut := loc.SplitRMI(1, h, func(obj any, _ *Location) any {
+			fut := splitCall(loc, 1, h, func(obj any, _ *Location) int64 {
 				return obj.(*benchSink).hits.Add(1)
 			})
 			_ = fut.Get()
@@ -112,15 +121,15 @@ func BenchmarkBulkFlush(b *testing.B) {
 	})
 }
 
-// BenchmarkBulkFlushArg is BenchmarkBulkFlush through the argument-carrying
-// variant used by the core bulk skeleton after the closure-elimination work.
-func BenchmarkBulkFlushArg(b *testing.B) {
+// BenchmarkBulkFlushOp is BenchmarkBulkFlush through a registered operation,
+// the form the core bulk skeletons ship their groups in.
+func BenchmarkBulkFlushOp(b *testing.B) {
 	benchDrive(b, DefaultConfig(), func(loc *Location, h Handle) {
 		arg := any(int64(1))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			loc.AsyncRMIBulkArg(1, h, 1024, 8192, bumpArg, arg)
+			loc.AsyncRMIBulkOp(1, h, 1024, 8192, bumpOp, arg)
 		}
 	})
 }

@@ -114,6 +114,24 @@ func TestAsyncRMIOrderingPerDestination(t *testing.T) {
 	})
 }
 
+// syncGet reads the counter behind h on dest with a blocking round trip.
+func syncGet(loc *Location, dest int, h Handle) int64 {
+	return loc.SyncRMI(dest, h, func(o any, _ *Location) any { return o.(*counterObj).get() }).(int64)
+}
+
+// splitCall is how a split-phase method is built on the RTS: an urgent
+// request whose handler completes an abortable future with fn's result.
+func splitCall[T any](loc *Location, dest int, h Handle, fn func(o any, l *Location) T) *FutureOf[T] {
+	f := loc.NewAbortableFuture()
+	loc.AsyncRMIUrgent(dest, h, func(o any, l *Location) { f.Complete(fn(o, l)) })
+	return NewFutureOf[T](f)
+}
+
+// splitGet is the split-phase counterpart of syncGet.
+func splitGet(loc *Location, dest int, h Handle) *FutureOf[int64] {
+	return splitCall(loc, dest, h, func(o any, _ *Location) int64 { return o.(*counterObj).get() })
+}
+
 func TestSyncRMI(t *testing.T) {
 	m := NewMachine(3, DefaultConfig())
 	m.Execute(func(loc *Location) {
@@ -121,7 +139,7 @@ func TestSyncRMI(t *testing.T) {
 		h := loc.RegisterObject(obj)
 		loc.Barrier()
 		for d := 0; d < loc.NumLocations(); d++ {
-			got := SyncRMIT(loc, d, h, func(o any, _ *Location) int64 { return o.(*counterObj).get() })
+			got := syncGet(loc, d, h)
 			if got != int64(d)*10 {
 				t.Errorf("sync rmi to %d returned %d, want %d", d, got, d*10)
 			}
@@ -138,7 +156,7 @@ func TestSplitPhaseRMI(t *testing.T) {
 		loc.Barrier()
 		futs := make([]*FutureOf[int64], loc.NumLocations())
 		for d := 0; d < loc.NumLocations(); d++ {
-			futs[d] = SplitRMIT(loc, d, h, func(o any, _ *Location) int64 { return o.(*counterObj).get() })
+			futs[d] = splitGet(loc, d, h)
 		}
 		var sum int64
 		for d, f := range futs {
@@ -253,7 +271,7 @@ func TestOneSidedFence(t *testing.T) {
 				loc.AsyncRMI(1, h, func(o any, _ *Location) { o.(*counterObj).add(1) })
 			}
 			loc.OneSidedFence()
-			got := SyncRMIT(loc, 1, h, func(o any, _ *Location) int64 { return o.(*counterObj).get() })
+			got := syncGet(loc, 1, h)
 			if got != 500 {
 				t.Errorf("after one-sided fence remote counter = %d, want 500", got)
 			}
@@ -443,15 +461,13 @@ func TestStatsCounters(t *testing.T) {
 		loc.Barrier()
 		if loc.ID() == 0 {
 			loc.AsyncRMI(1, h, func(o any, _ *Location) { o.(*counterObj).add(1) })
-			SyncRMIT(loc, 1, h, func(o any, _ *Location) int64 { return o.(*counterObj).get() })
-			SplitRMIT(loc, 1, h, func(o any, _ *Location) int64 { return o.(*counterObj).get() }).Get()
+			syncGet(loc, 1, h)
 		}
 		loc.Fence()
 	})
 	s := m.Stats()
-	if s.AsyncRMIs != 1 || s.SyncRMIs != 1 || s.SplitRMIs != 1 {
-		t.Fatalf("stats async/sync/split = %d/%d/%d, want 1/1/1",
-			s.AsyncRMIs, s.SyncRMIs, s.SplitRMIs)
+	if s.AsyncRMIs != 1 || s.SyncRMIs != 1 {
+		t.Fatalf("stats async/sync = %d/%d, want 1/1", s.AsyncRMIs, s.SyncRMIs)
 	}
 	if s.Fences != 2 {
 		t.Fatalf("fence count = %d, want 2", s.Fences)
@@ -489,7 +505,7 @@ func TestMCMPerElementOrdering(t *testing.T) {
 			// Synchronous read to the same destination: must observe all
 			// 50 asynchronous writes because per (src,dst) requests are
 			// FIFO and the sync request flushes the aggregation buffer.
-			got := SyncRMIT(loc, 1, h, func(o any, _ *Location) int64 { return o.(*counterObj).get() })
+			got := syncGet(loc, 1, h)
 			if got != 50 {
 				t.Errorf("sync read after async writes = %d, want 50", got)
 			}

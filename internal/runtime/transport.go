@@ -48,10 +48,10 @@ type Transport interface {
 	// WireStats reports wire-level traffic, all-zero for in-process
 	// transports.
 	WireStats() transport.WireStats
-	// SelfDecoding reports whether this transport executes registered
-	// operations from bytes alone (wire transports), so value-returning
-	// operations must route completions through tokens and KindReply frames
-	// rather than shared-memory futures.  In-process delivery reports false.
+	// SelfDecoding reports whether this transport executes by-value
+	// operations from bytes alone (wire transports), so their completions
+	// travel as tokens and KindReply frames rather than shared-memory futures
+	// (see Location.OpCrossesByValue).  In-process delivery reports false.
 	SelfDecoding() bool
 }
 
@@ -157,19 +157,20 @@ func (t inprocTransport) Name() string                   { return "inproc" }
 func (t inprocTransport) WireStats() transport.WireStats { return transport.WireStats{} }
 func (t inprocTransport) SelfDecoding() bool             { return false }
 
-// wireTransport adapts the runtime's requests to the frame wire.
+// wireTransport adapts the runtime's requests to the frame wire.  It is the
+// one place that decides how a request crosses: by value or by rendezvous.
 //
-// A batch whose requests are all registered operations (op != 0) is
+// A batch whose requests are all by-value registered operations (byValue) is
 // self-decoding: each argument is encoded with its registry codec into the
 // frame, the requests are recycled on the sender, and the receive callback
 // reconstructs and executes the batch from bytes alone — the mode a
 // multi-process wire requires.
 //
-// A batch containing an unregistered closure request falls back to the
-// rendezvous: descriptors and payload padding cross the wire while the
-// closures wait in the sender-side table keyed by (src, dst, seq), and the
+// A batch containing a closure or a by-reference operation falls back to the
+// rendezvous: descriptors (Op 0) and payload padding cross the wire while the
+// requests wait in the sender-side table keyed by (src, dst, seq), and the
 // receive callback matches the decoded frame back to its batch.  Fallback
-// batches count each closure request in WireStats.RendezvousFallbacks.
+// batches count each such request in WireStats.RendezvousFallbacks.
 type wireTransport struct {
 	m    *Machine
 	wire transport.Wire
@@ -188,7 +189,7 @@ type wireTransport struct {
 	pending map[wireKey][]*rmiRequest
 
 	// fallbacks counts requests that crossed as bare descriptors because
-	// their operation was an unregistered closure.
+	// they were closures or by-reference operations.
 	fallbacks atomic.Int64
 
 	// arrived, when non-nil, observes every received batch just before it is
@@ -237,10 +238,28 @@ func newWireTransport(m *Machine, wire transport.Wire) *wireTransport {
 
 func (t *wireTransport) pair(src, dst int) int { return src*t.m.NumLocations() + dst }
 
+// byValue reports whether the request can be rebuilt from bytes at the
+// receiver: its operation has a codec for the argument (or, for a reply, for
+// the result).  Closures and by-reference operations have none.
+func (r *rmiRequest) byValue() bool {
+	if r.kind == transport.KindReply {
+		return r.op.encodeRet != nil
+	}
+	return r.op.encode != nil
+}
+
+// describe names the request for a fault message.
+func (r *rmiRequest) describe() string {
+	if r.op.id == 0 {
+		return fmt.Sprintf("unregistered closure request (handle %d, kind 0x%02x)", r.handle, r.kind)
+	}
+	return fmt.Sprintf("by-reference operation %q (handle %d, kind 0x%02x)", r.op.name, r.handle, r.kind)
+}
+
 func (t *wireTransport) Deliver(src, dst int, batch []*rmiRequest) {
 	selfDecoding := true
 	for _, req := range batch {
-		if req.op == 0 {
+		if !req.byValue() {
 			selfDecoding = false
 			t.fallbacks.Add(1)
 		}
@@ -262,8 +281,8 @@ func (t *wireTransport) Deliver(src, dst int, batch []*rmiRequest) {
 		if !selfDecoding {
 			continue
 		}
-		e := opByID(req.op)
-		descs[i].Op = uint64(req.op)
+		e := req.op
+		descs[i].Op = uint64(e.id)
 		// Reset to nil (not a truncation): Bytes aliases the buffer, so each
 		// argument must grow its own backing array to survive the loop.
 		enc.Reset(nil)
@@ -306,10 +325,8 @@ func (t *wireTransport) Deliver(src, dst int, batch []*rmiRequest) {
 		// The frame carries everything; recycle the requests (and their
 		// pooled arguments) on the sender.
 		for _, req := range batch {
-			if req.kind != transport.KindReply {
-				if e := opByID(req.op); e.release != nil {
-					e.release(req.arg)
-				}
+			if req.kind != transport.KindReply && req.op.release != nil {
+				req.op.release(req.arg)
 			}
 			putRequest(req)
 		}
@@ -362,14 +379,16 @@ func (t *wireTransport) onFrame(src, dst int, frame []byte) {
 				src:    hdr.Src,
 				handle: Handle(d.Handle),
 				kind:   d.Kind,
-				op:     OpID(d.Op),
+				op:     e,
 				bytes:  int(d.Bytes),
+			}
+			if !req.byValue() {
+				panic(fmt.Sprintf("runtime: frame %d->%d seq %d names op %q, which has no codec for kind 0x%02x", src, dst, hdr.Seq, e.name, d.Kind))
 			}
 			if d.Kind == transport.KindReply {
 				req.token = d.Token
 				req.arg = e.decodeRet(b)
 			} else {
-				req.argFn = e.exec
 				req.arg = e.decode(b)
 			}
 			if err := b.Err(); err != nil {

@@ -32,11 +32,11 @@ func mixedWorkloadStats(t *testing.T, factory TransportFactory) (Stats, string, 
 			}
 			loc.AsyncRMIUrgent(d, h, func(o any, _ *Location) { o.(*counterObj).add(10) })
 			loc.AsyncRMIBulk(d, h, 8, 64, func(o any, _ *Location) { o.(*counterObj).add(100) })
-			got := SyncRMIT(loc, d, h, func(o any, _ *Location) int64 { return o.(*counterObj).get() })
+			got := syncGet(loc, d, h)
 			if got < 0 {
 				t.Errorf("sync rmi returned %d", got)
 			}
-			fut := SplitRMIT(loc, d, h, func(o any, _ *Location) int64 { o.(*counterObj).add(1000); return o.(*counterObj).get() })
+			fut := splitCall(loc, d, h, func(o any, _ *Location) int64 { o.(*counterObj).add(1000); return o.(*counterObj).get() })
 			if fut.Get() < 1000 {
 				t.Error("split rmi observed value before its own add")
 			}

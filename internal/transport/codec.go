@@ -450,7 +450,7 @@ func RegisterTyped[T any](c Codec[T]) Codec[T] {
 }
 
 // TypedCodecFor returns the codec registered for element type T, or
-// ok == false when T has none (callers fall back to closure requests).
+// ok == false when T has none.
 func TypedCodecFor[T any]() (Codec[T], bool) {
 	t := reflect.TypeOf((*T)(nil)).Elem()
 	typedMu.RLock()
@@ -459,6 +459,41 @@ func TypedCodecFor[T any]() (Codec[T], bool) {
 		return v.(Codec[T]), true
 	}
 	return Codec[T]{}, false
+}
+
+// ByValue reports whether c can marshal its type.  A Codec without an Encode
+// function is a by-reference codec: it names a type whose values only ever
+// cross locations as shared pointers (see CodecOf).
+func (c Codec[T]) ByValue() bool { return c.Encode != nil }
+
+// CodecOf returns T's typed codec, or — when T has none — a by-reference
+// codec named after the Go type.  Generic framework code registers its
+// operations with whatever CodecOf and Derive hand it and never asks which
+// kind it got; only the runtime's wire adapter does.
+//
+// Operation names are built from codec names and must be unique, but two
+// distinct types can print alike (function-local types, same-named types of
+// two packages called alike).  A by-reference name never leaves the process,
+// so it carries the type descriptor's address to tell them apart.
+func CodecOf[T any]() Codec[T] {
+	if c, ok := TypedCodecFor[T](); ok {
+		return c
+	}
+	t := reflect.TypeOf((*T)(nil)).Elem()
+	return Codec[T]{Name: fmt.Sprintf("ref:%v@%p", t, t)}
+}
+
+// Derive builds the codec of a record whose fields are marshalled by parts
+// (encode and decode call the parts' functions).  The record crosses by
+// value iff every part does; otherwise the result is a by-reference codec
+// and encode/decode are never called.
+func Derive[T any](name string, encode func(b *Buffer, v T), decode func(b *Buffer) T, parts ...interface{ ByValue() bool }) Codec[T] {
+	for _, p := range parts {
+		if !p.ByValue() {
+			return Codec[T]{Name: name}
+		}
+	}
+	return Codec[T]{Name: name, Encode: encode, Decode: decode}
 }
 
 // maxSample is a large payload exercising multi-byte varint length prefixes.

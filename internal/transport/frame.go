@@ -18,7 +18,7 @@ const (
 	KindAsync  = 0x01
 	KindUrgent = 0x02
 	KindSync   = 0x03
-	KindSplit  = 0x04
+	KindSplit  = 0x04 // reserved: no sender emits it; kept so later kinds keep their values
 	KindBulk   = 0x05
 	// KindReply carries the result of a registered value-returning operation
 	// back to the request's origin, addressed by a completion token.
