@@ -3,7 +3,6 @@ package parray
 import (
 	"repro/internal/bcontainer"
 	"repro/internal/core"
-	"repro/internal/runtime"
 	"repro/internal/transport"
 )
 
@@ -22,8 +21,8 @@ func elemOpsFor[T any]() *core.ElemOps[int64, *bcontainer.Array[T], T] {
 			"parray["+codec.Name+"]",
 			transport.Int64Codec,
 			codec,
-			func(_ *runtime.Location, bc *bcontainer.Array[T], gid int64, v T) { bc.Set(gid, v) },
-			func(_ *runtime.Location, bc *bcontainer.Array[T], gid int64) T { return bc.Get(gid) },
+			(*bcontainer.Array[T]).Set,
+			(*bcontainer.Array[T]).Get,
 		)
 	})
 }

@@ -102,3 +102,59 @@ func TestArraySkewRebalanceRoundTrip(t *testing.T) {
 		loc.Fence()
 	})
 }
+
+// TestArrayLocalPathRacesServerAndRedistribute drives the three parties that
+// share one representative: the SPMD goroutine on the local branch (no RMI),
+// the location's RMI server applying other locations' writes to the same base
+// containers, and Redistribute replacing the registry, its locks and the
+// resolver.  Checked elements have one writer per round and are fenced, so
+// every value is exact; noise elements are written WITHOUT a fence right
+// before each Redistribute, so their requests are resolved while the
+// registry and the resolver are being swapped (including the window where the
+// metadata still says local and the storage is gone) — their values may be
+// lost, the run must survive.  Run under -race.
+func TestArrayLocalPathRacesServerAndRedistribute(t *testing.T) {
+	const n, checked = 256, 192 // [checked, n) is noise
+	run(4, func(loc *runtime.Location) {
+		p := loc.NumLocations()
+		self := loc.ID()
+		a := New[int64](loc, n)
+		dom := a.Domain()
+		fine := partition.NewBlocked(dom, 8)
+		coarse := partition.NewBalanced(dom, p)
+		for round := 1; round <= 6; round++ {
+			stamp := int64(round) * n
+			for i := int64(0); i < checked; i++ {
+				if int(i+int64(round))%p == self { // this round's writer of i
+					a.Set(i, stamp+i)
+				}
+				if a.IsLocal(i) { // a local read racing the server's writes
+					if got := a.Get(i); got != stamp+i && got != stamp-n+i && got != 0 {
+						t.Errorf("loc %d round %d: local read of %d = %d", self, round, i, got)
+					}
+				}
+			}
+			loc.Fence()
+			for i := int64(0); i < checked; i++ {
+				if got := a.Get(i); got != stamp+i {
+					t.Errorf("loc %d round %d: element %d = %d, want %d", self, round, i, got, stamp+i)
+				}
+			}
+			loc.Barrier()
+			for i := int64(checked); i < n; i++ {
+				a.Set(i, 1)
+			}
+			if round%2 == 1 {
+				a.Redistribute(fine, partition.NewCyclicMapper(fine.NumSubdomains(), p))
+			} else {
+				a.Redistribute(coarse, partition.NewBlockedMapper(coarse.NumSubdomains(), p))
+			}
+		}
+		for i := int64(checked); i < n; i++ {
+			if got := a.Get(i); got != 0 && got != 1 {
+				t.Errorf("loc %d: noise element %d = %d", self, i, got)
+			}
+		}
+		loc.Fence()
+	})
+}

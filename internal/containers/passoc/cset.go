@@ -34,16 +34,14 @@ type CompressedSet struct {
 // test.  Concrete types, so one registration serves every CompressedSet.
 var csetOps = core.RegisterElemOps[int64, *bcontainer.CompressedSet, bool](
 	"passoc.cset", transport.Int64Codec, transport.BoolCodec,
-	func(_ *runtime.Location, bc *bcontainer.CompressedSet, key int64, member bool) {
+	func(bc *bcontainer.CompressedSet, key int64, member bool) {
 		if member {
 			bc.Insert(key)
 		} else {
 			bc.Erase(key)
 		}
 	},
-	func(_ *runtime.Location, bc *bcontainer.CompressedSet, key int64) bool {
-		return bc.Contains(key)
-	},
+	(*bcontainer.CompressedSet).Contains,
 )
 
 // csetMigOps is the registered migration operation: redistribution ships

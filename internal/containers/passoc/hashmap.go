@@ -36,6 +36,10 @@ type HashMap[K comparable, V any] struct {
 	// ops.go.
 	ops *core.ElemOps[K, *bcontainer.HashMap[K, V], V]
 
+	// find is hashFind as a function value, built once so that Find
+	// allocates no closure (core.GetElem).
+	find func(bc *bcontainer.HashMap[K, V], k K) findResult[V]
+
 	// dir is the exception overlay of the key-migration option (see
 	// migrate.go); nil when the overlay is disabled.
 	dir *core.Directory[K]
@@ -73,7 +77,7 @@ func NewHashMap[K comparable, V any](loc *runtime.Location, hash func(K) uint64,
 	p := loc.NumLocations()
 	part := partition.NewHashed[K](p*per, hash)
 	mapper := partition.NewBlockedMapper(part.NumSubdomains(), p)
-	h := &HashMap[K, V]{part: part, mapper: mapper, ops: hashElemOpsFor[K, V]()}
+	h := &HashMap[K, V]{part: part, mapper: mapper, ops: hashElemOpsFor[K, V](), find: hashFind[K, V]}
 	if o.KeyMigration {
 		h.InitContainer(loc, migratingResolver[K, V]{h: h}, traits)
 		// The exception entry for a key is homed on its closed-form hash
@@ -120,20 +124,22 @@ func (h *HashMap[K, V]) InsertIfAbsent(k K, v V) bool {
 	return out.(bool)
 }
 
-// findResult carries a value and its presence flag through the untyped
-// invoke layer.
+// findResult is Find's result as one value: what a remote find's reply
+// carries.
 type findResult[V any] struct {
 	val V
 	ok  bool
 }
 
+func hashFind[K comparable, V any](bc *bcontainer.HashMap[K, V], k K) findResult[V] {
+	v, ok := bc.Find(k)
+	return findResult[V]{val: v, ok: ok}
+}
+
 // Find returns the value stored under k (synchronous), with ok reporting
 // whether the key exists (the paper's find_val).
 func (h *HashMap[K, V]) Find(k K) (V, bool) {
-	out := h.InvokeRet(k, core.Read, func(_ *runtime.Location, bc *bcontainer.HashMap[K, V]) any {
-		v, ok := bc.Find(k)
-		return findResult[V]{val: v, ok: ok}
-	}).(findResult[V])
+	out := core.GetElem(&h.Container, k, h.find)
 	return out.val, out.ok
 }
 

@@ -3,7 +3,6 @@ package passoc
 import (
 	"repro/internal/bcontainer"
 	"repro/internal/core"
-	"repro/internal/runtime"
 	"repro/internal/transport"
 )
 
@@ -24,8 +23,8 @@ func hashElemOpsFor[K comparable, V any]() *core.ElemOps[K, *bcontainer.HashMap[
 			"passoc.hashmap["+kCodec.Name+","+vCodec.Name+"]",
 			kCodec,
 			vCodec,
-			func(_ *runtime.Location, bc *bcontainer.HashMap[K, V], k K, v V) { bc.Insert(k, v) },
-			func(_ *runtime.Location, bc *bcontainer.HashMap[K, V], k K) V {
+			func(bc *bcontainer.HashMap[K, V], k K, v V) { bc.Insert(k, v) },
+			func(bc *bcontainer.HashMap[K, V], k K) V {
 				v, _ := bc.Find(k)
 				return v
 			},

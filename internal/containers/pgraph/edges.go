@@ -93,19 +93,22 @@ func (g *Graph[VP, EP]) VertexProperty(vd int64) (VP, bool) {
 		var zero VP
 		return zero, false
 	}
-	out := g.InvokeRet(vd, core.Read, func(_ *runtime.Location, bc *bcontainer.Graph[VP, EP]) any {
-		if !bc.HasVertex(vd) {
-			var zero VP
-			return vpResult[VP]{prop: zero, ok: false}
-		}
-		return vpResult[VP]{prop: bc.Property(vd), ok: true}
-	}).(vpResult[VP])
+	out := core.GetElem(&g.Container, vd, g.vertexProp)
 	return out.prop, out.ok
 }
 
+// vpResult is VertexProperty's result as one value: what a remote read's
+// reply carries.
 type vpResult[VP any] struct {
 	prop VP
 	ok   bool
+}
+
+func vertexProp[VP any, EP any](bc *bcontainer.Graph[VP, EP], vd int64) vpResult[VP] {
+	if !bc.HasVertex(vd) {
+		return vpResult[VP]{}
+	}
+	return vpResult[VP]{prop: bc.Property(vd), ok: true}
 }
 
 // SetVertexProperty replaces the property of vertex vd.  Asynchronous.

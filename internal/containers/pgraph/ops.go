@@ -3,7 +3,6 @@ package pgraph
 import (
 	"repro/internal/bcontainer"
 	"repro/internal/core"
-	"repro/internal/runtime"
 	"repro/internal/transport"
 )
 
@@ -51,10 +50,10 @@ func edgeOpsFor[VP any, EP any]() *core.ElemOps[int64, *bcontainer.Graph[VP, EP]
 			"pgraph.edge["+vpCodec.Name+","+epCodec.Name+"]",
 			transport.Int64Codec,
 			msgCodec,
-			func(_ *runtime.Location, bc *bcontainer.Graph[VP, EP], src int64, m edgeMsg[EP]) {
+			func(bc *bcontainer.Graph[VP, EP], src int64, m edgeMsg[EP]) {
 				bc.AddEdge(src, m.tgt, m.prop, m.multi)
 			},
-			func(_ *runtime.Location, bc *bcontainer.Graph[VP, EP], src int64) edgeMsg[EP] {
+			func(bc *bcontainer.Graph[VP, EP], src int64) edgeMsg[EP] {
 				return edgeMsg[EP]{tgt: int64(bc.OutDegree(src))}
 			},
 		)

@@ -79,8 +79,11 @@ type Graph[VP any, EP any] struct {
 
 	// edgeOps is the registered add_edge operation set for this (VP, EP)
 	// pair.  See ops.go.
-	edgeOps  *core.ElemOps[int64, *bcontainer.Graph[VP, EP], edgeMsg[EP]]
-	strategy Strategy
+	edgeOps *core.ElemOps[int64, *bcontainer.Graph[VP, EP], edgeMsg[EP]]
+	// vertexProp is the function of that name as a value, built once so that
+	// VertexProperty allocates no closure (core.GetElem).
+	vertexProp func(bc *bcontainer.Graph[VP, EP], vd int64) vpResult[VP]
+	strategy   Strategy
 
 	staticN    int64
 	staticPart partition.Indexed
@@ -199,11 +202,12 @@ func New[VP any, EP any](loc *runtime.Location, n int64, opts ...Option) *Graph[
 		traits = *o.Traits
 	}
 	g := &Graph[VP, EP]{
-		directed: o.Directed,
-		multi:    o.Multi,
-		strategy: o.Strategy,
-		staticN:  n,
-		edgeOps:  edgeOpsFor[VP, EP](),
+		directed:   o.Directed,
+		multi:      o.Multi,
+		strategy:   o.Strategy,
+		staticN:    n,
+		edgeOps:    edgeOpsFor[VP, EP](),
+		vertexProp: vertexProp[VP, EP],
 	}
 	p := loc.NumLocations()
 	switch o.Strategy {

@@ -36,8 +36,22 @@ func TestListInvalidGIDFailsFast(t *testing.T) {
 			mustPanic(t, "invalid GID", func() { plain.Get(InvalidGID) })
 			mustPanic(t, "invalid GID", func() { backed.Get(InvalidGID) })
 			mustPanic(t, "invalid GID", func() { plain.InsertAsync(GID{Loc: -3, ID: 1}, 9) })
+			mustPanic(t, "invalid GID", func() { plain.Set(InvalidGID, 9) })
+			mustPanic(t, "invalid GID", func() { backed.Set(InvalidGID, 9) })
+			mustPanic(t, "invalid GID", func() { backed.Insert(InvalidGID, 9) })
 		}
 		loc.Barrier()
+		// Nor the data bracket: a write to a local element takes the base
+		// container's lock exclusively.
+		for _, l := range []*List[int]{plain, backed} {
+			g := l.PushAnywhere(1)
+			l.Set(g, 2)
+			if got := l.Get(g); got != 2 {
+				t.Errorf("local write after the recovered panics read back %d", got)
+			}
+			l.Erase(g)
+		}
+		loc.Fence()
 		// The fail-fast panic must not leak the metadata read bracket: a
 		// later collective that takes the metadata write lock (rebalance
 		// installs a new location manager) would deadlock if it did.

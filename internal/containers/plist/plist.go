@@ -114,7 +114,15 @@ type List[T any] struct {
 	// Directory-mode identifier allocation.
 	ctrMu   sync.Mutex
 	nextCtr int64
+
+	// get and set are listGet/listSet as function values, built once so that
+	// Get and Set allocate no closure (core.GetElem/SetElem).
+	get func(bc *bcontainer.List[T], g GID) T
+	set func(bc *bcontainer.List[T], g GID, val T)
 }
+
+func listGet[T any](bc *bcontainer.List[T], g GID) T      { return bc.Get(g.ID) }
+func listSet[T any](bc *bcontainer.List[T], g GID, val T) { bc.Set(g.ID, val) }
 
 // Option customises pList construction.
 type Option func(*options)
@@ -148,7 +156,7 @@ func New[T any](loc *runtime.Location, opts ...Option) *List[T] {
 		o.traits = core.DefaultTraits()
 	}
 	p := loc.NumLocations()
-	l := &List[T]{directory: o.directory}
+	l := &List[T]{directory: o.directory, get: listGet[T], set: listSet[T]}
 	if o.directory {
 		l.InitContainer(loc, listDirResolver[T]{l: l}, o.traits)
 		l.dir = core.NewDirectory(loc, core.DirectoryConfig[GID]{
@@ -353,8 +361,7 @@ func (l *List[T]) Erase(gid GID) {
 
 // Get returns the value of the element identified by gid (synchronous).
 func (l *List[T]) Get(gid GID) T {
-	v := l.InvokeRet(gid, core.Read, func(_ *runtime.Location, bc *bcontainer.List[T]) any { return bc.Get(gid.ID) })
-	return v.(T)
+	return core.GetElem(&l.Container, gid, l.get)
 }
 
 // GetSplit starts a split-phase read of the element identified by gid.
@@ -365,7 +372,7 @@ func (l *List[T]) GetSplit(gid GID) *runtime.FutureOf[T] {
 
 // Set replaces the value of the element identified by gid.  Asynchronous.
 func (l *List[T]) Set(gid GID, val T) {
-	l.Invoke(gid, core.Write, func(_ *runtime.Location, bc *bcontainer.List[T]) { bc.Set(gid.ID, val) })
+	core.SetElem(&l.Container, gid, val, 0, l.set)
 }
 
 // Apply applies fn to the element identified by gid in place. Asynchronous.

@@ -28,6 +28,11 @@ type Matrix[T any] struct {
 	dom    domain.Range2D
 	part   *partition.Matrix
 	mapper partition.Mapper
+
+	// get and set are the block's element methods as function values, built
+	// once so that Get and Set allocate no closure (core.GetElem/SetElem).
+	get func(bc *bcontainer.MatrixBlock[T], g domain.Index2D) T
+	set func(bc *bcontainer.MatrixBlock[T], g domain.Index2D, val T)
 }
 
 // Option customises pMatrix construction.
@@ -64,7 +69,8 @@ func New[T any](loc *runtime.Location, rows, cols int64, opts ...Option) *Matrix
 	dom := domain.NewRange2D(rows, cols)
 	part := partition.NewMatrix(dom, o.blocks, o.layout)
 	mapper := partition.NewBlockedMapper(part.NumSubdomains(), loc.NumLocations())
-	m := &Matrix[T]{dom: dom, part: part, mapper: mapper}
+	m := &Matrix[T]{dom: dom, part: part, mapper: mapper,
+		get: (*bcontainer.MatrixBlock[T]).Get, set: (*bcontainer.MatrixBlock[T]).Set}
 	m.InitContainer(loc, matrixResolver{part: part, mapper: mapper}, o.traits)
 	for _, b := range mapper.LocalBCIDs(loc.ID()) {
 		r, c := part.Block(b)
@@ -95,15 +101,12 @@ func (m *Matrix[T]) Mapper() partition.Mapper { return m.mapper }
 
 // Get returns the element at (row, col).  Synchronous.
 func (m *Matrix[T]) Get(row, col int64) T {
-	g := domain.Index2D{Row: row, Col: col}
-	v := m.InvokeRet(g, core.Read, func(_ *runtime.Location, bc *bcontainer.MatrixBlock[T]) any { return bc.Get(g) })
-	return v.(T)
+	return core.GetElem(&m.Container, domain.Index2D{Row: row, Col: col}, m.get)
 }
 
 // Set stores val at (row, col).  Asynchronous.
 func (m *Matrix[T]) Set(row, col int64, val T) {
-	g := domain.Index2D{Row: row, Col: col}
-	m.Invoke(g, core.Write, func(_ *runtime.Location, bc *bcontainer.MatrixBlock[T]) { bc.Set(g, val) })
+	core.SetElem(&m.Container, domain.Index2D{Row: row, Col: col}, val, 0, m.set)
 }
 
 // Apply applies fn to the element at (row, col) in place.  Asynchronous.

@@ -144,12 +144,19 @@ func TestMatrixOutOfDomainFailsFast(t *testing.T) {
 		expectPanic("Set", func() { m.Set(0, 4, 1) })
 		expectPanic("Apply", func() { m.Apply(-1, 0, func(x int) int { return x }) })
 		expectPanic("GetBulk", func() { m.GetBulk([]domain.Index2D{{Row: 0, Col: 0}, {Row: 99, Col: 99}}) })
-		// In-domain accesses still work after the recovered panics (the
-		// resolver releases the metadata bracket by defer).
+		// In-domain accesses still work after the recovered panics: the
+		// resolver releases the metadata read bracket by defer and the data
+		// bracket was never entered, so neither a write (data lock,
+		// exclusive) nor a relayout (metadata lock, exclusive) blocks.
 		m.Set(0, 0, 7+loc.ID())
 		loc.Fence()
 		if got := m.Get(0, 0); got < 7 {
 			t.Errorf("in-domain access after panic = %d", got)
+		}
+		loc.Fence()
+		m.Relayout(partition.RowBlocked, loc.NumLocations())
+		if got := m.Get(0, 0); got < 7 {
+			t.Errorf("element after the post-recovery relayout = %d", got)
 		}
 		loc.Fence()
 	})

@@ -25,6 +25,10 @@ type SparseMatrix[T any] struct {
 	dom    domain.Range2D
 	part   *partition.Matrix
 	mapper partition.Mapper
+
+	// get and set: see Matrix.
+	get func(bc *bcontainer.SparseMatrixBlock[T], g domain.Index2D) T
+	set func(bc *bcontainer.SparseMatrixBlock[T], g domain.Index2D, val T)
 }
 
 // NewSparse constructs an all-zero rows×cols sparse pMatrix.  Collective.
@@ -42,7 +46,8 @@ func NewSparse[T any](loc *runtime.Location, rows, cols int64, opts ...Option) *
 	dom := domain.NewRange2D(rows, cols)
 	part := partition.NewMatrix(dom, o.blocks, o.layout)
 	mapper := partition.NewBlockedMapper(part.NumSubdomains(), loc.NumLocations())
-	m := &SparseMatrix[T]{dom: dom, part: part, mapper: mapper}
+	m := &SparseMatrix[T]{dom: dom, part: part, mapper: mapper,
+		get: (*bcontainer.SparseMatrixBlock[T]).Get, set: (*bcontainer.SparseMatrixBlock[T]).Set}
 	m.InitContainer(loc, matrixResolver{part: part, mapper: mapper}, o.traits)
 	for _, b := range mapper.LocalBCIDs(loc.ID()) {
 		r, c := part.Block(b)
@@ -86,15 +91,12 @@ func (m *SparseMatrix[T]) NNZ() int64 {
 // Get returns the element at (row, col) — the stored entry, or the zero
 // value.  Synchronous.
 func (m *SparseMatrix[T]) Get(row, col int64) T {
-	g := domain.Index2D{Row: row, Col: col}
-	v := m.InvokeRet(g, core.Read, func(_ *runtime.Location, bc *bcontainer.SparseMatrixBlock[T]) any { return bc.Get(g) })
-	return v.(T)
+	return core.GetElem(&m.Container, domain.Index2D{Row: row, Col: col}, m.get)
 }
 
 // Set stores val at (row, col) as an explicit entry.  Asynchronous.
 func (m *SparseMatrix[T]) Set(row, col int64, val T) {
-	g := domain.Index2D{Row: row, Col: col}
-	m.Invoke(g, core.Write, func(_ *runtime.Location, bc *bcontainer.SparseMatrixBlock[T]) { bc.Set(g, val) })
+	core.SetElem(&m.Container, domain.Index2D{Row: row, Col: col}, val, 0, m.set)
 }
 
 // Apply applies fn to the element at (row, col) in place (reading zero when

@@ -121,6 +121,11 @@ type Vector[T any] struct {
 	table  *blockTable
 	mapper partition.Mapper
 	traits core.Traits
+
+	// get and set are the block's element methods as function values, built
+	// once so that Get and Set allocate no closure (core.GetElem/SetElem).
+	get func(bc *bcontainer.Vector[T], gid int64) T
+	set func(bc *bcontainer.Vector[T], gid int64, val T)
 }
 
 // Option customises pVector construction.
@@ -150,7 +155,8 @@ func New[T any](loc *runtime.Location, n int64, opts ...Option) *Vector[T] {
 	for i, b := range blocks {
 		sizes[i] = b.Size()
 	}
-	v := &Vector[T]{table: newBlockTable(sizes), mapper: partition.NewBlockedMapper(p, p), traits: o.traits}
+	v := &Vector[T]{table: newBlockTable(sizes), mapper: partition.NewBlockedMapper(p, p), traits: o.traits,
+		get: (*bcontainer.Vector[T]).Get, set: (*bcontainer.Vector[T]).Set}
 	v.InitContainer(loc, vectorResolver{table: v.table, mapper: v.mapper}, o.traits)
 	self := loc.ID()
 	v.LocationManager().Add(bcontainer.NewVector[T](partition.BCID(self), blocks[self]))
@@ -165,13 +171,12 @@ func (v *Vector[T]) Size() int64 { return v.table.total() }
 
 // Get returns the element at global index i (synchronous).
 func (v *Vector[T]) Get(i int64) T {
-	out := v.InvokeRet(i, core.Read, func(_ *runtime.Location, bc *bcontainer.Vector[T]) any { return bc.Get(i) })
-	return out.(T)
+	return core.GetElem(&v.Container, i, v.get)
 }
 
 // Set stores val at global index i (asynchronous).
 func (v *Vector[T]) Set(i int64, val T) {
-	v.InvokeSized(i, core.Write, runtime.PayloadBytes(val), func(_ *runtime.Location, bc *bcontainer.Vector[T]) { bc.Set(i, val) })
+	core.SetElem(&v.Container, i, val, runtime.PayloadBytes(val), v.set)
 }
 
 // Apply applies fn to the element at global index i in place (asynchronous).

@@ -27,7 +27,9 @@ type BContainer interface {
 //
 // The location manager itself is not safe for concurrent mutation: base
 // containers are added during collective construction or under the
-// container's metadata lock.
+// container's metadata lock.  Entries are never removed one by one: base
+// containers leave when Container.ReplaceLocationManager installs a new
+// registry, which is also when the thread-safety manager drops their locks.
 type LocationManager[B BContainer] struct {
 	order []partition.BCID
 	bcs   map[partition.BCID]B
@@ -46,20 +48,6 @@ func (lm *LocationManager[B]) Add(b B) {
 	}
 	lm.bcs[id] = b
 	lm.order = append(lm.order, id)
-}
-
-// Remove deletes the base container with the given BCID, if present.
-func (lm *LocationManager[B]) Remove(id partition.BCID) {
-	if _, ok := lm.bcs[id]; !ok {
-		return
-	}
-	delete(lm.bcs, id)
-	for i, x := range lm.order {
-		if x == id {
-			lm.order = append(lm.order[:i], lm.order[i+1:]...)
-			break
-		}
-	}
 }
 
 // Get returns the base container with the given BCID.

@@ -157,12 +157,14 @@ func (c *Container[G, B]) SetResolver(r Resolver[G]) {
 }
 
 // ReplaceLocationManager swaps in a new base-container registry under the
-// metadata write bracket.  Redistribution uses it after migrating data into
-// freshly allocated base containers.
+// metadata write bracket, then has the thread-safety manager forget the base
+// containers that left with the old one.  Redistribution uses it after
+// migrating data into freshly allocated base containers.
 func (c *Container[G, B]) ReplaceLocationManager(lm *LocationManager[B]) {
 	c.ths.MetadataAccessPre(Write)
 	c.locMgr = lm
 	c.ths.MetadataAccessPost(Write)
+	c.ths.Retain(lm.order)
 }
 
 // Traits returns the traits this representative was constructed with.

@@ -97,11 +97,6 @@ func TestLocationManager(t *testing.T) {
 	if lm.LocalSize() != 0 {
 		t.Fatal("clear failed")
 	}
-	lm.Remove(0)
-	if lm.NumBContainers() != 1 {
-		t.Fatal("remove failed")
-	}
-	lm.Remove(42) // no-op
 	defer func() {
 		if recover() == nil {
 			t.Fatal("duplicate add should panic")
@@ -135,6 +130,9 @@ func TestThreadSafetyManagers(t *testing.T) {
 		m.MetadataAccessPost(Write)
 		m.DataAccessPre(0, Read)
 		m.DataAccessPost(0, Read)
+		m.DataAccessPre(0, Write)
+		m.DataAccessPost(0, Write)
+		m.Retain(nil)
 		m.DataAccessPre(0, Write)
 		m.DataAccessPost(0, Write)
 		_ = name

@@ -15,12 +15,13 @@ import (
 //	InvokeRet    — synchronous, blocks for the result (get_element, ...)
 //	InvokeSplit  — split-phase, returns a Future   (split_phase_get_element)
 //
-// Each flavour resolves the GID through the container's resolver.  If the
-// owning base container is local the action runs in place under the
-// thread-safety manager; otherwise the invocation is shipped to the owning
-// location (or, when the partition only knows a hint, forwarded to the
-// location that may know more — the paper's method forwarding), where the
-// same resolution repeats.
+// Each flavour starts from the same local primitive, enter: resolve the GID
+// once and, if the owning base container is local, run the action in place
+// inside its data bracket — a local element method costs that and nothing
+// else.  Otherwise the invocation continues from that resolution: it is
+// shipped to the owning location (or, when the partition only knows a hint,
+// forwarded to the location that may know more — the paper's method
+// forwarding), where enter repeats.
 
 // maxForwardHops bounds forwarding chains so that a mis-configured partition
 // produces a clear failure instead of an infinite ping-pong of requests.
@@ -52,15 +53,27 @@ func (c *Container[G, B]) InvokeSized(gid G, mode AccessMode, bytes int, action 
 	c.invokeHop(gid, mode, bytes, action, 0)
 }
 
-// locate is the resolution step every single-element hop shares: it resolves
-// gid under a metadata read bracket (released by defer, so a resolver that
-// fails fast — pList's invalid-GID panic — does not leak the lock to a
-// recovering caller) and returns either the local base container holding it
-// (local == true) or the location to forward to: the owner, or the location a
-// forwarding hint says may know more.  It panics when the chain exceeds
+// enter is the local primitive every single-element method starts from: it
+// resolves gid once and, when the owning base container is stored on this
+// location, returns it INSIDE its data bracket (local == true) — the caller
+// applies its action and leaves with c.ths.DataAccessPost(bcid, mode).
+// Otherwise dest is the location to continue at: the owner, or the location a
+// forwarding hint says may know more.  A GID whose metadata says local but
+// whose storage is gone (the transient window of a redistribution) continues
+// at this location again.
+func (c *Container[G, B]) enter(gid G, mode AccessMode, hops int) (bc B, bcid partition.BCID, dest int, local bool) {
+	bc, bcid, dest, local = c.locate(gid, hops)
+	if local {
+		c.ths.DataAccessPre(bcid, mode)
+	}
+	return bc, bcid, dest, local
+}
+
+// locate is enter's resolution step.  The metadata read bracket is released
+// by defer, so a resolver that fails fast — pList's invalid-GID panic — does
+// not leak the lock to a recovering caller.  It panics when the chain exceeds
 // maxForwardHops or when gid cannot be resolved on the very location its hint
-// names.  A GID whose metadata says local but whose storage is gone (the
-// transient window of a redistribution) forwards to this location again.
+// names.
 func (c *Container[G, B]) locate(gid G, hops int) (bc B, bcid partition.BCID, dest int, local bool) {
 	if hops > maxForwardHops {
 		panic(fmt.Sprintf("core: invocation for GID %v forwarded more than %d times", gid, maxForwardHops))
@@ -83,22 +96,42 @@ func (c *Container[G, B]) locate(gid G, hops int) (bc B, bcid partition.BCID, de
 
 // invokeHop performs one resolution step of an asynchronous invocation.
 func (c *Container[G, B]) invokeHop(gid G, mode AccessMode, bytes int, action func(loc *runtime.Location, bc B), hops int) {
-	bc, bcid, dest, local := c.locate(gid, hops)
+	bc, bcid, dest, local := c.enter(gid, mode, hops)
 	if local {
-		c.ths.DataAccessPre(bcid, mode)
 		action(c.loc, bc)
 		c.ths.DataAccessPost(bcid, mode)
 		return
 	}
+	c.forward(dest, gid, mode, bytes, action, hops+1)
+}
+
+// forward continues an asynchronous invocation at dest, where it arrives as
+// hop number hops.
+func (c *Container[G, B]) forward(dest int, gid G, mode AccessMode, bytes int, action func(loc *runtime.Location, bc B), hops int) {
 	c.loc.AsyncRMISized(dest, c.handle, bytes, func(obj any, _ *runtime.Location) {
-		obj.(*Container[G, B]).invokeHop(gid, mode, bytes, action, hops+1)
+		obj.(*Container[G, B]).invokeHop(gid, mode, bytes, action, hops)
 	})
 }
 
 // InvokeRet runs action on the base container owning gid and blocks until
-// its result is available (a synchronous method).
+// its result is available (a synchronous method).  A local element is read in
+// place; only a remote one costs a future and a round trip.
 func (c *Container[G, B]) InvokeRet(gid G, mode AccessMode, action func(loc *runtime.Location, bc B) any) any {
-	return c.InvokeSplit(gid, mode, action).Get()
+	bc, bcid, dest, local := c.enter(gid, mode, 0)
+	if local {
+		v := action(c.loc, bc)
+		c.ths.DataAccessPost(bcid, mode)
+		return v
+	}
+	return c.roundTrip(dest, gid, mode, action)
+}
+
+// roundTrip continues a synchronous invocation at dest, the location enter
+// resolved, and blocks for its result.
+func (c *Container[G, B]) roundTrip(dest int, gid G, mode AccessMode, action func(loc *runtime.Location, bc B) any) any {
+	fut := c.loc.NewAbortableFuture()
+	c.forwardReply(dest, gid, mode, action, fut, 1)
+	return fut.Get()
 }
 
 // InvokeSplit starts a split-phase invocation of action on the base
@@ -116,9 +149,8 @@ func (c *Container[G, B]) InvokeSplit(gid G, mode AccessMode, action func(loc *r
 // invokeReplyHop performs one resolution step of a value-returning
 // invocation, completing fut when the action finally runs.
 func (c *Container[G, B]) invokeReplyHop(gid G, mode AccessMode, action func(loc *runtime.Location, bc B) any, fut *runtime.Future, hops int) {
-	bc, bcid, dest, local := c.locate(gid, hops)
+	bc, bcid, dest, local := c.enter(gid, mode, hops)
 	if local {
-		c.ths.DataAccessPre(bcid, mode)
 		v := action(c.loc, bc)
 		c.ths.DataAccessPost(bcid, mode)
 		fut.Complete(v)
@@ -129,9 +161,52 @@ func (c *Container[G, B]) invokeReplyHop(gid G, mode AccessMode, action func(loc
 		}
 		return
 	}
+	c.forwardReply(dest, gid, mode, action, fut, hops+1)
+}
+
+// forwardReply continues a value-returning invocation at dest, where it
+// arrives as hop number hops.
+func (c *Container[G, B]) forwardReply(dest int, gid G, mode AccessMode, action func(loc *runtime.Location, bc B) any, fut *runtime.Future, hops int) {
 	c.loc.AsyncRMIUrgent(dest, c.handle, func(obj any, _ *runtime.Location) {
-		obj.(*Container[G, B]).invokeReplyHop(gid, mode, action, fut, hops+1)
+		obj.(*Container[G, B]).invokeReplyHop(gid, mode, action, fut, hops)
 	})
+}
+
+// GetElem and SetElem are the typed element methods of the families whose
+// remote requests travel as closures (pVector, pMatrix, pList, ...).  get and
+// set are function values the container built once, so a local element costs
+// enter, the call and the bracket's release: no closure, no future, no boxed
+// value.  Only the remote branch builds a closure, and ships it to the
+// location enter resolved; its requests are InvokeRet's and InvokeSized's.
+
+// GetElem returns get(bc, gid) under the read bracket.  Synchronous.
+func GetElem[G any, B BContainer, V any](c *Container[G, B], gid G, get func(bc B, gid G) V) V {
+	bc, bcid, dest, local := c.enter(gid, Read, 0)
+	if local {
+		v := get(bc, gid)
+		c.ths.DataAccessPost(bcid, Read)
+		return v
+	}
+	return c.roundTrip(dest, gid, Read, func(_ *runtime.Location, bc B) any { return get(bc, gid) }).(V)
+}
+
+// SetElem runs set(bc, gid, val) under the write bracket, asynchronously
+// (synchronously under the Sequential model).  bytes is val's simulated size.
+func SetElem[G any, B BContainer, V any](c *Container[G, B], gid G, val V, bytes int, set func(bc B, gid G, val V)) {
+	bc, bcid, dest, local := c.enter(gid, Write, 0)
+	if local {
+		set(bc, gid, val)
+		c.ths.DataAccessPost(bcid, Write)
+		return
+	}
+	if c.Sequential() {
+		c.roundTrip(dest, gid, Write, func(_ *runtime.Location, bc B) any {
+			set(bc, gid, val)
+			return nil
+		})
+		return
+	}
+	c.forward(dest, gid, Write, bytes, func(_ *runtime.Location, bc B) { set(bc, gid, val) }, 1)
 }
 
 // InvokeAt runs action on a specific location's representative regardless of

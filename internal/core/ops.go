@@ -60,8 +60,8 @@ var perType sync.Map // reflect.Type -> *perTypeSlot
 // the container's Set/Get/SetBulk/GetBulk through it.
 type ElemOps[G any, B BContainer, V any] struct {
 	name     string
-	setApply func(loc *runtime.Location, bc B, gid G, v V)
-	getApply func(loc *runtime.Location, bc B, gid G) V
+	setApply func(bc B, gid G, v V)
+	getApply func(bc B, gid G) V
 
 	set     runtime.OpID
 	get     runtime.OpID
@@ -233,8 +233,8 @@ func RegisterElemOps[G any, B BContainer, V any](
 	name string,
 	gidCodec transport.Codec[G],
 	valCodec transport.Codec[V],
-	setApply func(loc *runtime.Location, bc B, gid G, v V),
-	getApply func(loc *runtime.Location, bc B, gid G) V,
+	setApply func(bc B, gid G, v V),
+	getApply func(bc B, gid G) V,
 ) *ElemOps[G, B, V] {
 	o := &ElemOps[G, B, V]{name: name, setApply: setApply, getApply: getApply}
 
@@ -373,30 +373,33 @@ func RegisterElemOps[G any, B BContainer, V any](
 }
 
 // Set stores v at gid asynchronously; bytes is the simulated marshalled size
-// of the value.
+// of the value.  A local element is written in place (no counters, no record);
+// a remote one ships a pooled record to the location enter resolved.
 func (o *ElemOps[G, B, V]) Set(c *Container[G, B], gid G, v V, bytes int) {
 	if c.Sequential() {
 		// Asynchronous methods execute synchronously under the sequential
-		// model, exactly like InvokeSized's fallback.
-		c.InvokeRet(gid, Write, func(loc *runtime.Location, bc B) any {
-			o.setApply(loc, bc, gid, v)
-			return nil
-		})
+		// model; SetElem's closure round trip is that execution.
+		SetElem(c, gid, v, bytes, o.setApply)
+		return
+	}
+	bc, bcid, dest, local := c.enter(gid, Write, 0)
+	if local {
+		o.setApply(bc, gid, v)
+		c.ths.DataAccessPost(bcid, Write)
 		return
 	}
 	a := getEsArgs[G, V]()
-	a.gid, a.val, a.bytes, a.hops = gid, v, bytes, 0
-	o.setHop(c, a)
+	a.gid, a.val, a.bytes, a.hops = gid, v, bytes, 1
+	c.loc.AsyncRMIOpSized(dest, c.handle, bytes, o.set, a)
 }
 
-// setHop performs one resolution step of a set: a local element applies in
-// place under the data bracket (no counters), everything else ships the
-// argument onward under the set op.
+// setHop is the set op's handler: one more resolution step of a shipped set.
+// At the owner the value is applied and the record recycled; anywhere else
+// the record travels onward.
 func (o *ElemOps[G, B, V]) setHop(c *Container[G, B], a *esArgs[G, V]) {
-	bc, bcid, dest, local := c.locate(a.gid, a.hops)
+	bc, bcid, dest, local := c.enter(a.gid, Write, a.hops)
 	if local {
-		c.ths.DataAccessPre(bcid, Write)
-		o.setApply(c.loc, bc, a.gid, a.val)
+		o.setApply(bc, a.gid, a.val)
 		c.ths.DataAccessPost(bcid, Write)
 		putEsArgs(a)
 		return
@@ -405,19 +408,39 @@ func (o *ElemOps[G, B, V]) setHop(c *Container[G, B], a *esArgs[G, V]) {
 	c.loc.AsyncRMIOpSized(dest, c.handle, a.bytes, o.set, a)
 }
 
-// Get returns the element at gid synchronously.
+// Get returns the element at gid synchronously: read in place when local, by
+// a blocking round trip otherwise.
 func (o *ElemOps[G, B, V]) Get(c *Container[G, B], gid G) V {
-	return o.GetSplit(c, gid).Get().(V)
+	bc, bcid, dest, local := c.enter(gid, Read, 0)
+	if local {
+		v := o.getApply(bc, gid)
+		c.ths.DataAccessPost(bcid, Read)
+		return v
+	}
+	return o.getFrom(c, gid, dest).Get().(V)
 }
 
 // GetSplit starts a split-phase read and returns a future for its value.
-// When the request crosses by value the completion travels home as a
-// KindReply request addressed by a registered token; otherwise the future
-// pointer rides inside the argument.
 func (o *ElemOps[G, B, V]) GetSplit(c *Container[G, B], gid G) *runtime.Future {
+	bc, bcid, dest, local := c.enter(gid, Read, 0)
+	if !local {
+		return o.getFrom(c, gid, dest)
+	}
+	fut := runtime.NewFuture()
+	fut.Complete(o.getApply(bc, gid))
+	c.ths.DataAccessPost(bcid, Read)
+	return fut
+}
+
+// getFrom ships a read of gid to dest, the location enter resolved, and
+// returns the future its value completes.  When the request crosses by value
+// the completion travels home as a KindReply request addressed by a
+// registered token; otherwise the future pointer rides inside the argument.
+// Forwarding hops are urgent, so a blocked Get makes progress.
+func (o *ElemOps[G, B, V]) getFrom(c *Container[G, B], gid G, dest int) *runtime.Future {
 	fut := c.loc.NewAbortableFuture()
 	a := getEgArgs[G, V]()
-	a.gid = gid
+	a.gid, a.hops = gid, 1
 	if c.loc.OpCrossesByValue(o.get) {
 		a.origin = c.loc.ID()
 		a.token = c.loc.RegisterToken(func(v any) bool {
@@ -427,25 +450,20 @@ func (o *ElemOps[G, B, V]) GetSplit(c *Container[G, B], gid G) *runtime.Future {
 	} else {
 		a.fut = fut
 	}
-	o.getHop(c, a)
+	c.loc.AsyncRMIUrgentOp(dest, c.handle, o.get, a)
 	return fut
 }
 
-// getHop performs one resolution step of a get: at the owner the value is
-// read under the data bracket, the reply traffic accounted when the request
-// travelled (hops > 0), and the completion routed through the future or the
-// reply op.  Forwarding hops are urgent, so a blocked Get makes progress.
+// getHop is the get op's handler: one more resolution step of a shipped get.
+// At the owner the value is read under the data bracket, the reply traffic
+// accounted (one response message carrying the marshalled value) and the
+// completion routed through the future or the reply op.
 func (o *ElemOps[G, B, V]) getHop(c *Container[G, B], a *egArgs[G, V]) {
-	bc, bcid, dest, local := c.locate(a.gid, a.hops)
+	bc, bcid, dest, local := c.enter(a.gid, Read, a.hops)
 	if local {
-		c.ths.DataAccessPre(bcid, Read)
-		v := o.getApply(c.loc, bc, a.gid)
+		v := o.getApply(bc, a.gid)
 		c.ths.DataAccessPost(bcid, Read)
-		if a.hops > 0 {
-			// The result travels back to the issuing location: one
-			// response message carrying the marshalled value.
-			c.loc.AccountReply(runtime.PayloadBytes(v))
-		}
+		c.loc.AccountReply(runtime.PayloadBytes(v))
 		if a.fut != nil {
 			a.fut.Complete(v)
 		} else {
@@ -467,7 +485,7 @@ func (o *ElemOps[G, B, V]) SetBulk(c *Container[G, B], gids []G, vals []V, bytes
 	}
 	if c.Sequential() {
 		c.InvokeBulkSync(gids, Write, bytesPerOp, func(loc *runtime.Location, bc B, k int) {
-			o.setApply(loc, bc, gids[k], vals[k])
+			o.setApply(bc, gids[k], vals[k])
 		})
 		return
 	}
@@ -496,7 +514,7 @@ func (o *ElemOps[G, B, V]) bulkSetHop(c *Container[G, B], gids []G, vals []V, by
 			}
 			c.ths.DataAccessPre(g.bcid, Write)
 			for _, k := range g.idxs {
-				o.setApply(c.loc, bc, gids[k], vals[k])
+				o.setApply(bc, gids[k], vals[k])
 			}
 			c.ths.DataAccessPost(g.bcid, Write)
 			putBulkIdxs(g.idxs)
@@ -529,7 +547,7 @@ func (o *ElemOps[G, B, V]) GetBulk(c *Container[G, B], gids []G, out []V, bytesP
 	}
 	if c.Sequential() {
 		c.InvokeBulkSync(gids, Read, bytesPerOp, func(loc *runtime.Location, bc B, k int) {
-			out[k] = o.getApply(loc, bc, gids[k])
+			out[k] = o.getApply(bc, gids[k])
 		})
 		return
 	}
@@ -587,7 +605,7 @@ func (o *ElemOps[G, B, V]) bulkGetHop(c *Container[G, B], gids []G, poss []int, 
 					if poss != nil {
 						pos = poss[k]
 					}
-					out[pos] = o.getApply(c.loc, bc, gids[k])
+					out[pos] = o.getApply(bc, gids[k])
 				}
 				c.ths.DataAccessPost(g.bcid, Read)
 				if hops > 0 {
@@ -606,7 +624,7 @@ func (o *ElemOps[G, B, V]) bulkGetHop(c *Container[G, B], gids []G, poss []int, 
 						pos = poss[k]
 					}
 					r.poss = append(r.poss, pos)
-					r.vals = append(r.vals, o.getApply(c.loc, bc, gids[k]))
+					r.vals = append(r.vals, o.getApply(bc, gids[k]))
 				}
 				c.ths.DataAccessPost(g.bcid, Read)
 				c.loc.AccountReply(bytesPerOp * len(g.idxs))

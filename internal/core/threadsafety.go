@@ -2,6 +2,7 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/partition"
 )
@@ -54,6 +55,28 @@ type ThreadSafety interface {
 	// container.
 	DataAccessPre(b partition.BCID, mode AccessMode)
 	DataAccessPost(b partition.BCID, mode AccessMode)
+	// Retain tells the manager that the location now stores exactly the base
+	// containers in live (Container.ReplaceLocationManager calls it after a
+	// redistribution installed a new registry): whatever the manager keeps
+	// per base container lives as long as the registry entry does.
+	Retain(live []partition.BCID)
+}
+
+// acquire and release take and drop l shared or exclusive, as mode says.
+func acquire(l *sync.RWMutex, mode AccessMode) {
+	if mode == Write {
+		l.Lock()
+	} else {
+		l.RLock()
+	}
+}
+
+func release(l *sync.RWMutex, mode AccessMode) {
+	if mode == Write {
+		l.Unlock()
+	} else {
+		l.RUnlock()
+	}
 }
 
 // NoLocking performs no synchronisation.  It is the right manager for
@@ -73,70 +96,114 @@ func (NoLocking) DataAccessPre(partition.BCID, AccessMode) {}
 // DataAccessPost is a no-op.
 func (NoLocking) DataAccessPost(partition.BCID, AccessMode) {}
 
+// Retain is a no-op.
+func (NoLocking) Retain([]partition.BCID) {}
+
 // BContainerLocking serialises access per base container with a
 // reader/writer lock each, plus one reader/writer lock for the metadata.
 // It is the default manager of every pContainer: incoming RMIs (served by
 // the location's RMI server goroutine) and local invocations (from the SPMD
 // goroutine) may touch the same base container concurrently, and this
 // manager makes each method's bContainer access atomic.
+//
+// The locks live in a table indexed by BCID (BCIDs number a partition's
+// sub-domains from zero, so the table is dense) that is only ever replaced
+// whole: a bracket finds its lock with one atomic load and one index, and
+// only a BCID's first bracket and Retain take the writers' mutex.
 type BContainerLocking struct {
 	metaMu sync.RWMutex
-	mu     sync.Mutex
-	locks  map[partition.BCID]*sync.RWMutex
+	mu     sync.Mutex // serialises writers of locks
+	locks  atomic.Pointer[[]*sync.RWMutex]
 }
 
 // NewBContainerLocking returns a per-bContainer locking manager.
 func NewBContainerLocking() *BContainerLocking {
-	return &BContainerLocking{locks: make(map[partition.BCID]*sync.RWMutex)}
+	t := &BContainerLocking{}
+	t.locks.Store(new([]*sync.RWMutex))
+	return t
 }
 
-func (t *BContainerLocking) lockFor(b partition.BCID) *sync.RWMutex {
+// lock returns the lock of base container b, or nil when b has none yet.
+func (t *BContainerLocking) lock(b partition.BCID) *sync.RWMutex {
+	if tab := *t.locks.Load(); uint(b) < uint(len(tab)) {
+		return tab[b]
+	}
+	return nil
+}
+
+// addLock gives base container b its lock on b's first bracket.
+func (t *BContainerLocking) addLock(b partition.BCID) *sync.RWMutex {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	l, ok := t.locks[b]
-	if !ok {
-		l = &sync.RWMutex{}
-		t.locks[b] = l
+	if l := t.lock(b); l != nil {
+		return l
 	}
-	return l
+	old := *t.locks.Load()
+	tab := make([]*sync.RWMutex, max(len(old), int(b)+1))
+	copy(tab, old)
+	tab[b] = new(sync.RWMutex)
+	t.locks.Store(&tab)
+	return tab[b]
+}
+
+// Retain drops the locks of base containers that left the location.  A lock
+// goes only while nothing holds it (a busy one waits for the next Retain),
+// and goes while Retain itself holds it exclusively, so whoever acquires it
+// afterwards finds the table changed and starts over (see DataAccessPre).
+func (t *BContainerLocking) Retain(live []partition.BCID) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	old := *t.locks.Load()
+	tab := make([]*sync.RWMutex, len(old))
+	for _, b := range live {
+		if int(b) < len(old) {
+			tab[b] = old[b]
+		}
+	}
+	var dropped []*sync.RWMutex
+	for b, l := range old {
+		if l == nil || tab[b] != nil {
+			continue
+		}
+		if l.TryLock() {
+			dropped = append(dropped, l)
+		} else {
+			tab[b] = l
+		}
+	}
+	t.locks.Store(&tab)
+	for _, l := range dropped {
+		l.Unlock()
+	}
 }
 
 // MetadataAccessPre acquires the metadata lock.
-func (t *BContainerLocking) MetadataAccessPre(mode AccessMode) {
-	if mode == Write {
-		t.metaMu.Lock()
-	} else {
-		t.metaMu.RLock()
-	}
-}
+func (t *BContainerLocking) MetadataAccessPre(mode AccessMode) { acquire(&t.metaMu, mode) }
 
 // MetadataAccessPost releases the metadata lock.
-func (t *BContainerLocking) MetadataAccessPost(mode AccessMode) {
-	if mode == Write {
-		t.metaMu.Unlock()
-	} else {
-		t.metaMu.RUnlock()
-	}
-}
+func (t *BContainerLocking) MetadataAccessPost(mode AccessMode) { release(&t.metaMu, mode) }
 
-// DataAccessPre acquires the lock of base container b.
+// DataAccessPre acquires the lock of base container b.  The lock it returns
+// holding is the one the table names for b: one that Retain dropped while
+// this call waited for it is released again and the lookup repeated, so the
+// table cannot change under a held lock and DataAccessPost finds the same one.
 func (t *BContainerLocking) DataAccessPre(b partition.BCID, mode AccessMode) {
-	l := t.lockFor(b)
-	if mode == Write {
-		l.Lock()
-	} else {
-		l.RLock()
+	for {
+		l := t.lock(b)
+		if l == nil {
+			l = t.addLock(b)
+		}
+		acquire(l, mode)
+		if t.lock(b) == l {
+			return
+		}
+		release(l, mode)
 	}
 }
 
 // DataAccessPost releases the lock of base container b.
 func (t *BContainerLocking) DataAccessPost(b partition.BCID, mode AccessMode) {
-	l := t.lockFor(b)
-	if mode == Write {
-		l.Unlock()
-	} else {
-		l.RUnlock()
-	}
+	release(t.lock(b), mode)
 }
 
 // LocationLocking serialises every data access on the location with a single
@@ -152,40 +219,19 @@ type LocationLocking struct {
 func NewLocationLocking() *LocationLocking { return &LocationLocking{} }
 
 // MetadataAccessPre acquires the metadata lock.
-func (t *LocationLocking) MetadataAccessPre(mode AccessMode) {
-	if mode == Write {
-		t.metaMu.Lock()
-	} else {
-		t.metaMu.RLock()
-	}
-}
+func (t *LocationLocking) MetadataAccessPre(mode AccessMode) { acquire(&t.metaMu, mode) }
 
 // MetadataAccessPost releases the metadata lock.
-func (t *LocationLocking) MetadataAccessPost(mode AccessMode) {
-	if mode == Write {
-		t.metaMu.Unlock()
-	} else {
-		t.metaMu.RUnlock()
-	}
-}
+func (t *LocationLocking) MetadataAccessPost(mode AccessMode) { release(&t.metaMu, mode) }
 
 // DataAccessPre acquires the location-wide data lock.
-func (t *LocationLocking) DataAccessPre(_ partition.BCID, mode AccessMode) {
-	if mode == Write {
-		t.dataMu.Lock()
-	} else {
-		t.dataMu.RLock()
-	}
-}
+func (t *LocationLocking) DataAccessPre(_ partition.BCID, mode AccessMode) { acquire(&t.dataMu, mode) }
 
 // DataAccessPost releases the location-wide data lock.
-func (t *LocationLocking) DataAccessPost(_ partition.BCID, mode AccessMode) {
-	if mode == Write {
-		t.dataMu.Unlock()
-	} else {
-		t.dataMu.RUnlock()
-	}
-}
+func (t *LocationLocking) DataAccessPost(_ partition.BCID, mode AccessMode) { release(&t.dataMu, mode) }
+
+// Retain is a no-op: the location-wide lock outlives every base container.
+func (t *LocationLocking) Retain([]partition.BCID) {}
 
 // LockPolicy names the built-in thread-safety managers selectable through
 // Traits.

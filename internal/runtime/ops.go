@@ -2,8 +2,10 @@ package runtime
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/transport"
 )
@@ -69,10 +71,13 @@ type opEntry struct {
 	decodeRet func(b *transport.Buffer) any
 }
 
+// Registration is init-time and rare while every RMI issue and every decoded
+// frame looks an operation up by ID, so opsByID is an immutable snapshot:
+// readers take it with one atomic load, a registration publishes a copy.
 var (
-	opMu      sync.RWMutex
-	opsByID   = map[OpID]*opEntry{}
+	opMu      sync.Mutex // guards opsByName, serialises registrations
 	opsByName = map[string]OpID{}
+	opsByID   atomic.Pointer[map[OpID]*opEntry]
 )
 
 func registerOpEntry(name string, e *opEntry) OpID {
@@ -86,24 +91,27 @@ func registerOpEntry(name string, e *opEntry) OpID {
 	if _, dup := opsByName[name]; dup {
 		panic(fmt.Sprintf("runtime: operation %q registered twice", name))
 	}
-	if prev, collide := opsByID[id]; collide {
-		panic(fmt.Sprintf("runtime: operation id collision: %q and %q both hash to %#x", prev.name, name, uint64(id)))
+	next := map[OpID]*opEntry{id: e}
+	if old := opsByID.Load(); old != nil {
+		if prev, collide := (*old)[id]; collide {
+			panic(fmt.Sprintf("runtime: operation id collision: %q and %q both hash to %#x", prev.name, name, uint64(id)))
+		}
+		maps.Copy(next, *old)
 	}
 	opsByName[name] = id
-	opsByID[id] = e
+	opsByID.Store(&next)
 	return id
 }
 
 // opByID resolves an op ID to its entry, panicking on an unknown ID (a frame
 // naming an operation this process never registered is unexecutable).
 func opByID(id OpID) *opEntry {
-	opMu.RLock()
-	e := opsByID[id]
-	opMu.RUnlock()
-	if e == nil {
-		panic(fmt.Sprintf("runtime: no operation registered under id %#x", uint64(id)))
+	if tab := opsByID.Load(); tab != nil {
+		if e := (*tab)[id]; e != nil {
+			return e
+		}
 	}
-	return e
+	panic(fmt.Sprintf("runtime: no operation registered under id %#x", uint64(id)))
 }
 
 // RegisterOp registers a void operation: a static handler plus the codec of
@@ -154,8 +162,8 @@ func newOpEntry[A any](argCodec transport.Codec[A], exec func(obj any, loc *Loca
 // RegisteredOps returns the names of all registered operations, sorted (for
 // tests and diagnostics).
 func RegisteredOps() []string {
-	opMu.RLock()
-	defer opMu.RUnlock()
+	opMu.Lock()
+	defer opMu.Unlock()
 	out := make([]string, 0, len(opsByName))
 	for name := range opsByName {
 		out = append(out, name)
@@ -166,8 +174,8 @@ func RegisteredOps() []string {
 
 // OpIDOf reports the id registered under name.
 func OpIDOf(name string) (OpID, bool) {
-	opMu.RLock()
-	defer opMu.RUnlock()
+	opMu.Lock()
+	defer opMu.Unlock()
 	id, ok := opsByName[name]
 	return id, ok
 }
