@@ -27,8 +27,8 @@ type Array[T any] struct {
 	part   partition.Indexed
 	mapper partition.Mapper
 
-	// ops is the registered element operation set for T.
-	ops *core.ElemOps[int64, *bcontainer.Array[T], T]
+	// ops are the registered element operations for T.
+	ops *elemOps[T]
 }
 
 // options collects constructor customisations.
@@ -105,18 +105,18 @@ func (a *Array[T]) Mapper() partition.Mapper { return a.mapper }
 // by the next Fence, or by a later Get/GetSplit of the same index from this
 // location (the container's relaxed memory-consistency model).
 func (a *Array[T]) Set(i int64, val T) {
-	a.ops.Set(&a.Container, i, val, runtime.PayloadBytes(val))
+	a.ops.set.Async(&a.Container, i, val, runtime.PayloadBytes(val))
 }
 
 // Get returns the element at index i (synchronous).
 func (a *Array[T]) Get(i int64) T {
-	return a.ops.Get(&a.Container, i)
+	return a.ops.get.Sync(&a.Container, i, struct{}{})
 }
 
 // GetSplit starts a split-phase read of index i and returns a future for
 // its value (the paper's split_phase_get_element / pc_future).
 func (a *Array[T]) GetSplit(i int64) *runtime.FutureOf[T] {
-	return runtime.NewFutureOf[T](a.ops.GetSplit(&a.Container, i))
+	return runtime.NewFutureOf[T](a.ops.get.Split(&a.Container, i, struct{}{}))
 }
 
 // ApplySet applies fn to the element at index i in place, asynchronously
@@ -139,9 +139,8 @@ func (a *Array[T]) ApplyGet(i int64, fn func(T) any) any {
 // destination, so a remote-heavy batch costs O(destinations) messages
 // instead of O(len(idxs)) request descriptors.
 //
-// SetBulk retains both slices until the operations execute: callers hand
-// over ownership and must not mutate them before the next Fence (unlike Set,
-// which captures its value).
+// Like Set, SetBulk captures its values: groups shipped to other locations
+// copy their share, so neither slice is retained past the call.
 func (a *Array[T]) SetBulk(idxs []int64, vals []T) {
 	if len(idxs) != len(vals) {
 		panic("parray: SetBulk index/value length mismatch")
@@ -150,7 +149,7 @@ func (a *Array[T]) SetBulk(idxs []int64, vals []T) {
 		return
 	}
 	bytesPerOp := 8 + runtime.PayloadBytes(vals[0]) // index + value
-	a.ops.SetBulk(&a.Container, idxs, vals, bytesPerOp)
+	a.ops.set.BulkAsync(&a.Container, idxs, vals, bytesPerOp)
 }
 
 // GetBulk returns the elements at the given indices, in order (synchronous).
@@ -158,14 +157,14 @@ func (a *Array[T]) SetBulk(idxs []int64, vals []T) {
 // batch size.
 func (a *Array[T]) GetBulk(idxs []int64) []T {
 	out := make([]T, len(idxs))
-	a.ops.GetBulk(&a.Container, idxs, out, 8)
+	a.ops.get.BulkSync(&a.Container, idxs, nil, out, 8)
 	return out
 }
 
 // ApplyBulk applies fn to every element named by idxs in place,
-// asynchronously (the bulk counterpart of ApplySet).  The index slice is
-// retained until the operations execute; do not mutate it before the next
-// Fence.
+// asynchronously (the bulk counterpart of ApplySet).  The request carries the
+// caller's fn, not copies: idxs and whatever fn captures are retained until
+// the operations execute; do not mutate them before the next Fence.
 func (a *Array[T]) ApplyBulk(idxs []int64, fn func(T) T) {
 	a.InvokeBulk(idxs, core.Write, 8, func(_ *runtime.Location, bc *bcontainer.Array[T], k int) {
 		bc.Apply(idxs[k], fn)

@@ -9,93 +9,19 @@ import (
 // TestElemOpsRegisteredForCodecTypes pins that every built-in pArray element
 // operation — set, get, bulk-set, bulk-get — is registered under its stable
 // name for codec-backed element types, so a cooperating process can resolve
-// the same IDs from the shared binary alone.
+// the same IDs from the shared binary alone.  (That they then cross a wire as
+// bytes is pinned for every family by the root package's
+// TestElementTrafficSelfDecodesAcrossWire.)
 func TestElemOpsRegisteredForCodecTypes(t *testing.T) {
 	o := elemOpsFor[int64]()
-	if o == nil {
-		t.Fatal("int64 has a typed codec but no registered element ops")
-	}
-	for _, suffix := range []string{"/set", "/get", "/bulk-set", "/bulk-get"} {
-		name := o.Name() + suffix
+	for _, name := range []string{"parray[int64]/set", "parray[int64]/get", "parray[int64]/bulk-set", "parray[int64]/bulk-get"} {
 		if id, ok := runtime.OpIDOf(name); !ok || id == 0 {
 			t.Errorf("operation %q not registered (id %#x, ok %v)", name, uint64(id), ok)
-		}
-	}
-	for i, id := range o.OpIDs() {
-		if id == 0 {
-			t.Errorf("element op %d has the reserved closure id 0", i)
 		}
 	}
 	// The per-type cache must return the same registration, not re-register
 	// (a second registration would panic on the duplicate name).
 	if again := elemOpsFor[int64](); again != o {
 		t.Error("elemOpsFor re-registered instead of reusing the cached ops")
-	}
-}
-
-// TestArrayOpsSelfDecodeAcrossWire drives every built-in pArray container
-// operation (element set/get, split-phase get, bulk set/get) across the wire
-// protocol and asserts zero rendezvous fallbacks: each request crossed as a
-// self-decoding frame — op ID plus codec-encoded argument, reconstructed and
-// executed from bytes with no sender-side state — exactly what a process
-// boundary requires.
-func TestArrayOpsSelfDecodeAcrossWire(t *testing.T) {
-	const n = 120
-	cfg := runtime.DefaultConfig()
-	cfg.Transport = runtime.WireTransport
-	m := runtime.NewMachine(3, cfg)
-	m.Execute(func(loc *runtime.Location) {
-		pa := New[int64](loc, n)
-		loc.Barrier()
-		// Element sets: location 0 writes everything (mostly remote).
-		if loc.ID() == 0 {
-			for i := int64(0); i < n; i++ {
-				pa.Set(i, i*3)
-			}
-		}
-		loc.Fence()
-		// Element gets, everywhere.
-		for i := int64(0); i < n; i++ {
-			if got := pa.Get(i); got != i*3 {
-				t.Errorf("loc %d: Get(%d) = %d, want %d", loc.ID(), i, got, i*3)
-				return
-			}
-		}
-		// Split-phase gets overlap the reply frames.
-		futs := make([]*runtime.FutureOf[int64], 0, n/4)
-		for i := int64(0); i < n; i += 4 {
-			futs = append(futs, pa.GetSplit(i))
-		}
-		for k, f := range futs {
-			i := int64(k * 4)
-			if got := f.Get(); got != i*3 {
-				t.Errorf("loc %d: GetSplit(%d) = %d, want %d", loc.ID(), i, got, i*3)
-			}
-		}
-		loc.Fence()
-		// Bulk set and bulk get with shuffled indices (every location).
-		idxs := make([]int64, n)
-		vals := make([]int64, n)
-		for i := range idxs {
-			idxs[i] = int64((i*37 + 11) % n)
-			vals[i] = idxs[i] * 7
-		}
-		pa.SetBulk(idxs, vals)
-		loc.Fence()
-		got := pa.GetBulk(idxs)
-		for k, i := range idxs {
-			if got[k] != i*7 {
-				t.Errorf("loc %d: bulk get idx %d = %d, want %d", loc.ID(), i, got[k], i*7)
-				return
-			}
-		}
-		loc.Fence()
-	})
-	ws := m.WireStats()
-	if ws.RendezvousFallbacks != 0 {
-		t.Errorf("container workload took %d rendezvous fallbacks; every built-in op must be self-decoding", ws.RendezvousFallbacks)
-	}
-	if ws.DataFrames == 0 {
-		t.Error("workload moved no wire frames; the test did not exercise the wire path")
 	}
 }

@@ -29,19 +29,20 @@ type CompressedSet struct {
 	mapper partition.Mapper
 }
 
-// csetOps is the registered element-operation set: an asynchronous
-// membership write (true inserts, false erases) and a synchronous membership
-// test.  Concrete types, so one registration serves every CompressedSet.
-var csetOps = core.RegisterElemOps[int64, *bcontainer.CompressedSet, bool](
-	"passoc.cset", transport.Int64Codec, transport.BoolCodec,
-	func(bc *bcontainer.CompressedSet, key int64, member bool) {
-		if member {
-			bc.Insert(key)
-		} else {
-			bc.Erase(key)
-		}
-	},
-	(*bcontainer.CompressedSet).Contains,
+// The registered element operations: an asynchronous membership write (true
+// inserts, false erases) and a membership test.  Concrete types, so one
+// registration serves every CompressedSet.
+var (
+	csetWrite = core.RegisterWrite("passoc.cset/set", "passoc.cset/bulk-set", transport.Int64Codec, transport.BoolCodec,
+		func(bc *bcontainer.CompressedSet, key int64, member bool) {
+			if member {
+				bc.Insert(key)
+			} else {
+				bc.Erase(key)
+			}
+		})
+	csetTest = core.RegisterRead("passoc.cset/get", "passoc.cset/bulk-get", transport.Int64Codec, transport.BoolCodec,
+		(*bcontainer.CompressedSet).Contains)
 )
 
 // csetMigOps is the registered migration operation: redistribution ships
@@ -117,30 +118,30 @@ func (s *CompressedSet) Mapper() partition.Mapper { return s.mapper }
 // Insert adds key asynchronously.
 func (s *CompressedSet) Insert(key int64) {
 	s.checkKey(key)
-	csetOps.Set(&s.Container, key, true, memberBytes)
+	csetWrite.Async(&s.Container, key, true, memberBytes)
 }
 
 // EraseAsync removes key asynchronously.
 func (s *CompressedSet) EraseAsync(key int64) {
 	s.checkKey(key)
-	csetOps.Set(&s.Container, key, false, memberBytes)
+	csetWrite.Async(&s.Container, key, false, memberBytes)
 }
 
 // Contains reports membership of key.  Synchronous.
 func (s *CompressedSet) Contains(key int64) bool {
 	s.checkKey(key)
-	return csetOps.Get(&s.Container, key)
+	return csetTest.Sync(&s.Container, key, struct{}{})
 }
 
 // ContainsSplit starts a split-phase membership test of key.
 func (s *CompressedSet) ContainsSplit(key int64) *runtime.FutureOf[bool] {
 	s.checkKey(key)
-	return runtime.NewFutureOf[bool](csetOps.GetSplit(&s.Container, key))
+	return runtime.NewFutureOf[bool](csetTest.Split(&s.Container, key, struct{}{}))
 }
 
 // InsertBulk adds every key asynchronously: the batch is resolved once and
-// shipped as one sized RMI per owning location.  The slice is retained until
-// the operations execute; do not mutate it before the next Fence.
+// shipped as one sized RMI per owning location; the slice is not retained
+// past the call.
 func (s *CompressedSet) InsertBulk(keys []int64) {
 	if len(keys) == 0 {
 		return
@@ -150,7 +151,7 @@ func (s *CompressedSet) InsertBulk(keys []int64) {
 		s.checkKey(k)
 		flags[i] = true
 	}
-	csetOps.SetBulk(&s.Container, keys, flags, memberBytes)
+	csetWrite.BulkAsync(&s.Container, keys, flags, memberBytes)
 }
 
 // ContainsBulk tests every key and returns the flags in key order
@@ -160,7 +161,7 @@ func (s *CompressedSet) ContainsBulk(keys []int64) []bool {
 		s.checkKey(k)
 	}
 	out := make([]bool, len(keys))
-	csetOps.GetBulk(&s.Container, keys, out, memberBytes)
+	csetTest.BulkSync(&s.Container, keys, nil, out, memberBytes)
 	return out
 }
 

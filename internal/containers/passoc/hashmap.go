@@ -32,13 +32,9 @@ type HashMap[K comparable, V any] struct {
 	part   *partition.Hashed[K]
 	mapper partition.Mapper
 
-	// ops is the registered element-operation set for this (K, V) pair.  See
+	// ops are the registered element operations for this (K, V) pair.  See
 	// ops.go.
-	ops *core.ElemOps[K, *bcontainer.HashMap[K, V], V]
-
-	// find is hashFind as a function value, built once so that Find
-	// allocates no closure (core.GetElem).
-	find func(bc *bcontainer.HashMap[K, V], k K) findResult[V]
+	ops *hashOps[K, V]
 
 	// dir is the exception overlay of the key-migration option (see
 	// migrate.go); nil when the overlay is disabled.
@@ -77,7 +73,7 @@ func NewHashMap[K comparable, V any](loc *runtime.Location, hash func(K) uint64,
 	p := loc.NumLocations()
 	part := partition.NewHashed[K](p*per, hash)
 	mapper := partition.NewBlockedMapper(part.NumSubdomains(), p)
-	h := &HashMap[K, V]{part: part, mapper: mapper, ops: hashElemOpsFor[K, V](), find: hashFind[K, V]}
+	h := &HashMap[K, V]{part: part, mapper: mapper, ops: hashOpsFor[K, V]()}
 	if o.KeyMigration {
 		h.InitContainer(loc, migratingResolver[K, V]{h: h}, traits)
 		// The exception entry for a key is homed on its closed-form hash
@@ -104,7 +100,7 @@ func NewHashMap[K comparable, V any](loc *runtime.Location, hash func(K) uint64,
 
 // Insert stores (k, v) asynchronously, overwriting any existing value.
 func (h *HashMap[K, V]) Insert(k K, v V) {
-	h.ops.Set(&h.Container, k, v, runtime.PayloadBytes(v))
+	h.ops.insert.Async(&h.Container, k, v, runtime.PayloadBytes(v))
 }
 
 // InsertSync stores (k, v) and reports whether the key was newly inserted.
@@ -124,32 +120,25 @@ func (h *HashMap[K, V]) InsertIfAbsent(k K, v V) bool {
 	return out.(bool)
 }
 
-// findResult is Find's result as one value: what a remote find's reply
+// findResult is a find's result as one value: what a remote find's reply
 // carries.
 type findResult[V any] struct {
 	val V
 	ok  bool
 }
 
-func hashFind[K comparable, V any](bc *bcontainer.HashMap[K, V], k K) findResult[V] {
-	v, ok := bc.Find(k)
-	return findResult[V]{val: v, ok: ok}
-}
-
 // Find returns the value stored under k (synchronous), with ok reporting
 // whether the key exists (the paper's find_val).
 func (h *HashMap[K, V]) Find(k K) (V, bool) {
-	out := core.GetElem(&h.Container, k, h.find)
+	out := h.ops.find.Sync(&h.Container, k, struct{}{})
 	return out.val, out.ok
 }
 
-// FindSplit starts a split-phase find of k (the paper's split_phase_find).
+// FindSplit starts a split-phase find of k (the paper's split_phase_find); an
+// absent key yields the zero value.
 func (h *HashMap[K, V]) FindSplit(k K) *runtime.FutureOf[V] {
-	f := h.InvokeSplit(k, core.Read, func(_ *runtime.Location, bc *bcontainer.HashMap[K, V]) any {
-		v, _ := bc.Find(k)
-		return v
-	})
-	return runtime.NewFutureOf[V](f)
+	return runtime.MapFuture(h.ops.find.Split(&h.Container, k, struct{}{}),
+		func(v any) V { return v.(findResult[V]).val })
 }
 
 // Contains reports whether k is present.  Synchronous.
@@ -180,9 +169,9 @@ func (h *HashMap[K, V]) Apply(k K, fn func(V) V) {
 // InsertBulk stores every (keys[k], vals[k]) pair asynchronously,
 // overwriting existing values.  The batch is hashed and grouped once and
 // shipped as one sized RMI per owning location — the fast path for loading a
-// pHashMap from a local slice (MapReduce emit, word count, ...).  Both
-// slices are retained until the operations execute; callers hand over
-// ownership and must not mutate them before the next Fence.
+// pHashMap from a local slice (MapReduce emit, word count, ...).  Groups
+// shipped to other locations copy their share, so neither slice is retained
+// past the call.
 func (h *HashMap[K, V]) InsertBulk(keys []K, vals []V) {
 	if len(keys) != len(vals) {
 		panic("passoc: InsertBulk key/value length mismatch")
@@ -191,25 +180,28 @@ func (h *HashMap[K, V]) InsertBulk(keys []K, vals []V) {
 		return
 	}
 	bytesPerOp := runtime.PayloadBytes(keys[0]) + runtime.PayloadBytes(vals[0])
-	h.ops.SetBulk(&h.Container, keys, vals, bytesPerOp)
+	h.ops.insert.BulkAsync(&h.Container, keys, vals, bytesPerOp)
 }
 
 // FindBulk looks up every key and returns the values and presence flags, in
 // key order (synchronous; one round trip per owning location).
 func (h *HashMap[K, V]) FindBulk(keys []K) ([]V, []bool) {
+	found := make([]findResult[V], len(keys))
+	h.ops.find.BulkSync(&h.Container, keys, nil, found, 8)
 	vals := make([]V, len(keys))
 	oks := make([]bool, len(keys))
-	h.InvokeBulkSync(keys, core.Read, 8, func(_ *runtime.Location, bc *bcontainer.HashMap[K, V], k int) {
-		vals[k], oks[k] = bc.Find(keys[k])
-	})
+	for k, f := range found {
+		vals[k], oks[k] = f.val, f.ok
+	}
 	return vals, oks
 }
 
 // ApplyBulk applies fn to the value stored under every key (starting from
 // the zero value when absent) and stores the results, asynchronously — the
 // bulk counterpart of Apply, and the natural sink for pre-combined
-// per-location reduction maps.  The key slice is retained until the
-// operations execute; do not mutate it before the next Fence.
+// per-location reduction maps.  The request carries the caller's fn, not
+// copies: keys and whatever fn captures are retained until the operations
+// execute; do not mutate them before the next Fence.
 func (h *HashMap[K, V]) ApplyBulk(keys []K, fn func(V) V) {
 	if len(keys) == 0 {
 		return

@@ -15,20 +15,35 @@ import (
 // operation names derive from the codec names (stable across processes and
 // registration order).
 
-// hashElemOpsFor returns the element operations for a pHashMap at (K, V).
-func hashElemOpsFor[K comparable, V any]() *core.ElemOps[K, *bcontainer.HashMap[K, V], V] {
-	return core.OncePerType(func() *core.ElemOps[K, *bcontainer.HashMap[K, V], V] {
+// hashOps are the element operations of a pHashMap at (K, V): insert, and
+// find answering (value, present) as one result.
+type hashOps[K comparable, V any] struct {
+	insert *core.ElemOp[K, *bcontainer.HashMap[K, V], V, struct{}]
+	find   *core.ElemOp[K, *bcontainer.HashMap[K, V], struct{}, findResult[V]]
+}
+
+func hashOpsFor[K comparable, V any]() *hashOps[K, V] {
+	return core.OncePerType(func() *hashOps[K, V] {
 		kCodec, vCodec := transport.CodecOf[K](), transport.CodecOf[V]()
-		return core.RegisterElemOps[K, *bcontainer.HashMap[K, V], V](
-			"passoc.hashmap["+kCodec.Name+","+vCodec.Name+"]",
-			kCodec,
-			vCodec,
-			func(bc *bcontainer.HashMap[K, V], k K, v V) { bc.Insert(k, v) },
-			func(bc *bcontainer.HashMap[K, V], k K) V {
-				v, _ := bc.Find(k)
-				return v
-			},
-		)
+		name := "passoc.hashmap[" + kCodec.Name + "," + vCodec.Name + "]"
+		return &hashOps[K, V]{
+			insert: core.RegisterWrite(name+"/set", name+"/bulk-set", kCodec, vCodec,
+				func(bc *bcontainer.HashMap[K, V], k K, v V) { bc.Insert(k, v) }),
+			find: core.RegisterRead(name+"/get", name+"/bulk-get", kCodec,
+				transport.Derive(name+"/found",
+					func(b *transport.Buffer, r findResult[V]) {
+						vCodec.Encode(b, r.val)
+						b.PutBool(r.ok)
+					},
+					func(b *transport.Buffer) findResult[V] {
+						return findResult[V]{val: vCodec.Decode(b), ok: b.Bool()}
+					},
+					vCodec),
+				func(bc *bcontainer.HashMap[K, V], k K) findResult[V] {
+					v, ok := bc.Find(k)
+					return findResult[V]{val: v, ok: ok}
+				}),
+		}
 	})
 }
 

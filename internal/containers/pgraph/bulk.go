@@ -31,37 +31,31 @@ type VertexSpec[VP any] struct {
 // records are grouped by the location owning their source vertex (and, for
 // undirected graphs, mirror records by target owner) and shipped as one
 // sized RMI per destination.  Visible by the next Fence.  The batch slice is
-// retained until the operations execute; callers hand over ownership and
-// must not mutate it before the next Fence.
+// not retained past the call.
 func (g *Graph[VP, EP]) AddEdgesBulk(edges []EdgeSpec[EP]) {
 	if len(edges) == 0 {
 		return
 	}
-	multi := g.multi
 	bytesPerOp := 16 + runtime.PayloadBytes(edges[0].Prop) // endpoints + property
-	srcs := make([]int64, len(edges))
-	for i, e := range edges {
-		srcs[i] = e.Src
+	srcs := make([]int64, 0, len(edges))
+	msgs := make([]edgeMsg[EP], 0, len(edges))
+	for _, e := range edges {
+		srcs = append(srcs, e.Src)
+		msgs = append(msgs, edgeMsg[EP]{tgt: e.Tgt, prop: e.Prop, multi: g.multi})
 	}
-	g.InvokeBulk(srcs, core.Write, bytesPerOp, func(_ *runtime.Location, bc *bcontainer.Graph[VP, EP], k int) {
-		bc.AddEdge(edges[k].Src, edges[k].Tgt, edges[k].Prop, multi)
-	})
+	g.ops.addEdge.BulkAsync(&g.Container, srcs, msgs, bytesPerOp)
 	if g.directed {
 		return
 	}
 	// Undirected: mirror records live with the target endpoint.
-	var mirrors []int64
-	var mirrorIdx []int
-	for i, e := range edges {
+	srcs, msgs = srcs[:0], msgs[:0]
+	for _, e := range edges {
 		if e.Src != e.Tgt {
-			mirrors = append(mirrors, e.Tgt)
-			mirrorIdx = append(mirrorIdx, i)
+			srcs = append(srcs, e.Tgt)
+			msgs = append(msgs, edgeMsg[EP]{tgt: e.Src, prop: e.Prop, multi: g.multi})
 		}
 	}
-	g.InvokeBulk(mirrors, core.Write, bytesPerOp, func(_ *runtime.Location, bc *bcontainer.Graph[VP, EP], k int) {
-		e := edges[mirrorIdx[k]]
-		bc.AddEdge(e.Tgt, e.Src, e.Prop, multi)
-	})
+	g.ops.addEdge.BulkAsync(&g.Container, srcs, msgs, bytesPerOp)
 }
 
 // AddVerticesBulk is the bulk counterpart of AddVertexWithDescriptor: it
@@ -119,9 +113,10 @@ func EncodeDescriptor(home int, counter int64) int64 { return encodeDescriptor(h
 
 // ApplyVertexBulk applies fn to the property of every vertex named by vds in
 // place, asynchronously: one bulk RMI per owning location (the bulk
-// counterpart of ApplyVertex, used by property-update sweeps).  The
-// descriptor slice is retained until the operations execute; do not mutate
-// it before the next Fence.
+// counterpart of ApplyVertex, used by property-update sweeps).  The request
+// carries the caller's fn, not copies: vds and whatever fn captures are
+// retained until the operations execute; do not mutate them before the next
+// Fence.
 func (g *Graph[VP, EP]) ApplyVertexBulk(vds []int64, fn func(VP) VP) {
 	g.InvokeBulk(vds, core.Write, 8, func(_ *runtime.Location, bc *bcontainer.Graph[VP, EP], k int) {
 		bc.ApplyVertex(vds[k], fn)

@@ -13,9 +13,9 @@ import (
 func (g *Graph[VP, EP]) AddEdgeAsync(src, tgt int64, prop EP) {
 	multi := g.multi
 	bytes := 8 + runtime.PayloadBytes(prop) // target descriptor + property
-	g.edgeOps.Set(&g.Container, src, edgeMsg[EP]{tgt: tgt, prop: prop, multi: multi}, bytes)
+	g.ops.addEdge.Async(&g.Container, src, edgeMsg[EP]{tgt: tgt, prop: prop, multi: multi}, bytes)
 	if !g.directed && src != tgt {
-		g.edgeOps.Set(&g.Container, tgt, edgeMsg[EP]{tgt: src, prop: prop, multi: multi}, bytes)
+		g.ops.addEdge.Async(&g.Container, tgt, edgeMsg[EP]{tgt: src, prop: prop, multi: multi}, bytes)
 	}
 }
 
@@ -93,7 +93,7 @@ func (g *Graph[VP, EP]) VertexProperty(vd int64) (VP, bool) {
 		var zero VP
 		return zero, false
 	}
-	out := core.GetElem(&g.Container, vd, g.vertexProp)
+	out := g.ops.vertexProp.Sync(&g.Container, vd, struct{}{})
 	return out.prop, out.ok
 }
 
@@ -102,13 +102,6 @@ func (g *Graph[VP, EP]) VertexProperty(vd int64) (VP, bool) {
 type vpResult[VP any] struct {
 	prop VP
 	ok   bool
-}
-
-func vertexProp[VP any, EP any](bc *bcontainer.Graph[VP, EP], vd int64) vpResult[VP] {
-	if !bc.HasVertex(vd) {
-		return vpResult[VP]{}
-	}
-	return vpResult[VP]{prop: bc.Property(vd), ok: true}
 }
 
 // SetVertexProperty replaces the property of vertex vd.  Asynchronous.

@@ -27,12 +27,20 @@ type edgeMsg[EP any] struct {
 	multi bool
 }
 
-// edgeOpsFor returns the add_edge operations for a pGraph at (VP, EP).  Only
-// the set half is used; the get half answers the source vertex's out-degree
-// (a cheap, always-available read).
-func edgeOpsFor[VP any, EP any]() *core.ElemOps[int64, *bcontainer.Graph[VP, EP], edgeMsg[EP]] {
-	return core.OncePerType(func() *core.ElemOps[int64, *bcontainer.Graph[VP, EP], edgeMsg[EP]] {
+// graphOps are the element operations of a pGraph at (VP, EP): add_edge, per
+// element and in bulk, and the vertex-property read.
+type graphOps[VP any, EP any] struct {
+	addEdge    *core.ElemOp[int64, *bcontainer.Graph[VP, EP], edgeMsg[EP], struct{}]
+	vertexProp *core.ElemOp[int64, *bcontainer.Graph[VP, EP], struct{}, vpResult[VP]]
+}
+
+func graphOpsFor[VP any, EP any]() *graphOps[VP, EP] {
+	return core.OncePerType(func() *graphOps[VP, EP] {
 		vpCodec, epCodec := transport.CodecOf[VP](), transport.CodecOf[EP]()
+		types := "[" + vpCodec.Name + "," + epCodec.Name + "]"
+		// Both property codecs are parts of both records although each encodes
+		// only one: the handlers address a Graph[VP, EP], which lives in
+		// another process only when both property types can.
 		msgCodec := transport.Derive("pgraph.edge-msg["+epCodec.Name+"]",
 			func(b *transport.Buffer, m edgeMsg[EP]) {
 				b.PutVarint(m.tgt)
@@ -42,21 +50,29 @@ func edgeOpsFor[VP any, EP any]() *core.ElemOps[int64, *bcontainer.Graph[VP, EP]
 			func(b *transport.Buffer) edgeMsg[EP] {
 				return edgeMsg[EP]{tgt: b.Varint(), prop: epCodec.Decode(b), multi: b.Bool()}
 			},
-			// vpCodec is a part although no vertex property is encoded: the
-			// handler addresses a Graph[VP, EP], which lives in another
-			// process only when both property types can.
 			vpCodec, epCodec)
-		return core.RegisterElemOps[int64, *bcontainer.Graph[VP, EP], edgeMsg[EP]](
-			"pgraph.edge["+vpCodec.Name+","+epCodec.Name+"]",
-			transport.Int64Codec,
-			msgCodec,
-			func(bc *bcontainer.Graph[VP, EP], src int64, m edgeMsg[EP]) {
-				bc.AddEdge(src, m.tgt, m.prop, m.multi)
+		propCodec := transport.Derive("pgraph.vertex-prop"+types+"/found",
+			func(b *transport.Buffer, r vpResult[VP]) {
+				vpCodec.Encode(b, r.prop)
+				b.PutBool(r.ok)
 			},
-			func(bc *bcontainer.Graph[VP, EP], src int64) edgeMsg[EP] {
-				return edgeMsg[EP]{tgt: int64(bc.OutDegree(src))}
+			func(b *transport.Buffer) vpResult[VP] {
+				return vpResult[VP]{prop: vpCodec.Decode(b), ok: b.Bool()}
 			},
-		)
+			vpCodec, epCodec)
+		return &graphOps[VP, EP]{
+			addEdge: core.RegisterWrite("pgraph.edge"+types+"/set", "pgraph.edge"+types+"/bulk-set", transport.Int64Codec, msgCodec,
+				func(bc *bcontainer.Graph[VP, EP], src int64, m edgeMsg[EP]) {
+					bc.AddEdge(src, m.tgt, m.prop, m.multi)
+				}),
+			vertexProp: core.RegisterRead("pgraph.vertex-prop"+types+"/get", "", transport.Int64Codec, propCodec,
+				func(bc *bcontainer.Graph[VP, EP], vd int64) vpResult[VP] {
+					if !bc.HasVertex(vd) {
+						return vpResult[VP]{}
+					}
+					return vpResult[VP]{prop: bc.Property(vd), ok: true}
+				}),
+		}
 	})
 }
 

@@ -77,13 +77,10 @@ type Graph[VP any, EP any] struct {
 	directed bool
 	multi    bool
 
-	// edgeOps is the registered add_edge operation set for this (VP, EP)
-	// pair.  See ops.go.
-	edgeOps *core.ElemOps[int64, *bcontainer.Graph[VP, EP], edgeMsg[EP]]
-	// vertexProp is the function of that name as a value, built once so that
-	// VertexProperty allocates no closure (core.GetElem).
-	vertexProp func(bc *bcontainer.Graph[VP, EP], vd int64) vpResult[VP]
-	strategy   Strategy
+	// ops are the registered element operations for this (VP, EP) pair.  See
+	// ops.go.
+	ops      *graphOps[VP, EP]
+	strategy Strategy
 
 	staticN    int64
 	staticPart partition.Indexed
@@ -202,12 +199,11 @@ func New[VP any, EP any](loc *runtime.Location, n int64, opts ...Option) *Graph[
 		traits = *o.Traits
 	}
 	g := &Graph[VP, EP]{
-		directed:   o.Directed,
-		multi:      o.Multi,
-		strategy:   o.Strategy,
-		staticN:    n,
-		edgeOps:    edgeOpsFor[VP, EP](),
-		vertexProp: vertexProp[VP, EP],
+		directed: o.Directed,
+		multi:    o.Multi,
+		strategy: o.Strategy,
+		staticN:  n,
+		ops:      graphOpsFor[VP, EP](),
 	}
 	p := loc.NumLocations()
 	switch o.Strategy {

@@ -1,6 +1,7 @@
 package plist
 
 import (
+	"repro/internal/bcontainer"
 	"repro/internal/core"
 	"repro/internal/transport"
 )
@@ -19,6 +20,27 @@ var gidCodec = transport.RegisterTyped(transport.Register(transport.Codec[GID]{
 		return GID{Loc: int32(b.Varint()), ID: b.Varint()}
 	},
 }, GID{}, GID{Loc: 2, ID: 2<<gidShift | 7}, InvalidGID))
+
+// elemOps are the two registered element operations of the segment at element
+// type T (see parray/ops.go: same scheme, same by-value rule).  The GID's
+// location part only routes; the segment is addressed by the node id.
+type elemOps[T any] struct {
+	set *core.ElemOp[GID, *bcontainer.List[T], T, struct{}]
+	get *core.ElemOp[GID, *bcontainer.List[T], struct{}, T]
+}
+
+func elemOpsFor[T any]() *elemOps[T] {
+	return core.OncePerType(func() *elemOps[T] {
+		codec := transport.CodecOf[T]()
+		name := "plist[" + codec.Name + "]"
+		return &elemOps[T]{
+			set: core.RegisterWrite(name+"/set", name+"/bulk-set", gidCodec, codec,
+				func(bc *bcontainer.List[T], g GID, val T) { bc.Set(g.ID, val) }),
+			get: core.RegisterRead(name+"/get", name+"/bulk-get", gidCodec, codec,
+				func(bc *bcontainer.List[T], g GID) T { return bc.Get(g.ID) }),
+		}
+	})
+}
 
 // listMigOpsFor returns the migration operation for listElem[T]: one
 // registration serves every pList at the same T.

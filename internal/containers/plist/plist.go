@@ -115,14 +115,9 @@ type List[T any] struct {
 	ctrMu   sync.Mutex
 	nextCtr int64
 
-	// get and set are listGet/listSet as function values, built once so that
-	// Get and Set allocate no closure (core.GetElem/SetElem).
-	get func(bc *bcontainer.List[T], g GID) T
-	set func(bc *bcontainer.List[T], g GID, val T)
+	// ops are the registered element operations for T.  See ops.go.
+	ops *elemOps[T]
 }
-
-func listGet[T any](bc *bcontainer.List[T], g GID) T      { return bc.Get(g.ID) }
-func listSet[T any](bc *bcontainer.List[T], g GID, val T) { bc.Set(g.ID, val) }
 
 // Option customises pList construction.
 type Option func(*options)
@@ -156,7 +151,7 @@ func New[T any](loc *runtime.Location, opts ...Option) *List[T] {
 		o.traits = core.DefaultTraits()
 	}
 	p := loc.NumLocations()
-	l := &List[T]{directory: o.directory, get: listGet[T], set: listSet[T]}
+	l := &List[T]{directory: o.directory, ops: elemOpsFor[T]()}
 	if o.directory {
 		l.InitContainer(loc, listDirResolver[T]{l: l}, o.traits)
 		l.dir = core.NewDirectory(loc, core.DirectoryConfig[GID]{
@@ -361,18 +356,17 @@ func (l *List[T]) Erase(gid GID) {
 
 // Get returns the value of the element identified by gid (synchronous).
 func (l *List[T]) Get(gid GID) T {
-	return core.GetElem(&l.Container, gid, l.get)
+	return l.ops.get.Sync(&l.Container, gid, struct{}{})
 }
 
 // GetSplit starts a split-phase read of the element identified by gid.
 func (l *List[T]) GetSplit(gid GID) *runtime.FutureOf[T] {
-	f := l.InvokeSplit(gid, core.Read, func(_ *runtime.Location, bc *bcontainer.List[T]) any { return bc.Get(gid.ID) })
-	return runtime.NewFutureOf[T](f)
+	return runtime.NewFutureOf[T](l.ops.get.Split(&l.Container, gid, struct{}{}))
 }
 
 // Set replaces the value of the element identified by gid.  Asynchronous.
 func (l *List[T]) Set(gid GID, val T) {
-	core.SetElem(&l.Container, gid, val, 0, l.set)
+	l.ops.set.Async(&l.Container, gid, val, 0)
 }
 
 // Apply applies fn to the element identified by gid in place. Asynchronous.

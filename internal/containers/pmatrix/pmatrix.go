@@ -29,10 +29,8 @@ type Matrix[T any] struct {
 	part   *partition.Matrix
 	mapper partition.Mapper
 
-	// get and set are the block's element methods as function values, built
-	// once so that Get and Set allocate no closure (core.GetElem/SetElem).
-	get func(bc *bcontainer.MatrixBlock[T], g domain.Index2D) T
-	set func(bc *bcontainer.MatrixBlock[T], g domain.Index2D, val T)
+	// ops are the registered element operations for T.  See ops.go.
+	ops *elemOps[T, *bcontainer.MatrixBlock[T]]
 }
 
 // Option customises pMatrix construction.
@@ -69,8 +67,7 @@ func New[T any](loc *runtime.Location, rows, cols int64, opts ...Option) *Matrix
 	dom := domain.NewRange2D(rows, cols)
 	part := partition.NewMatrix(dom, o.blocks, o.layout)
 	mapper := partition.NewBlockedMapper(part.NumSubdomains(), loc.NumLocations())
-	m := &Matrix[T]{dom: dom, part: part, mapper: mapper,
-		get: (*bcontainer.MatrixBlock[T]).Get, set: (*bcontainer.MatrixBlock[T]).Set}
+	m := &Matrix[T]{dom: dom, part: part, mapper: mapper, ops: denseOpsFor[T]()}
 	m.InitContainer(loc, matrixResolver{part: part, mapper: mapper}, o.traits)
 	for _, b := range mapper.LocalBCIDs(loc.ID()) {
 		r, c := part.Block(b)
@@ -101,12 +98,12 @@ func (m *Matrix[T]) Mapper() partition.Mapper { return m.mapper }
 
 // Get returns the element at (row, col).  Synchronous.
 func (m *Matrix[T]) Get(row, col int64) T {
-	return core.GetElem(&m.Container, domain.Index2D{Row: row, Col: col}, m.get)
+	return m.ops.get.Sync(&m.Container, domain.Index2D{Row: row, Col: col}, struct{}{})
 }
 
 // Set stores val at (row, col).  Asynchronous.
 func (m *Matrix[T]) Set(row, col int64, val T) {
-	core.SetElem(&m.Container, domain.Index2D{Row: row, Col: col}, val, 0, m.set)
+	m.ops.set.Async(&m.Container, domain.Index2D{Row: row, Col: col}, val, 0)
 }
 
 // Apply applies fn to the element at (row, col) in place.  Asynchronous.
@@ -117,17 +114,15 @@ func (m *Matrix[T]) Apply(row, col int64, fn func(T) T) {
 
 // GetSplit starts a split-phase read of the element at (row, col).
 func (m *Matrix[T]) GetSplit(row, col int64) *runtime.FutureOf[T] {
-	g := domain.Index2D{Row: row, Col: col}
-	f := m.InvokeSplit(g, core.Read, func(_ *runtime.Location, bc *bcontainer.MatrixBlock[T]) any { return bc.Get(g) })
-	return runtime.NewFutureOf[T](f)
+	return runtime.NewFutureOf[T](m.ops.get.Split(&m.Container, domain.Index2D{Row: row, Col: col}, struct{}{}))
 }
 
 // SetBulk stores vals[k] at index idxs[k] for every k, asynchronously.  The
 // whole batch is resolved under one metadata bracket, grouped by owning
 // location and shipped as one sized RMI per destination (AsyncRMIBulk), like
-// the bulk element methods of the other container families.  Both slices are
-// retained until the operations execute; callers hand over ownership and
-// must not mutate them before the next Fence.
+// the bulk element methods of the other container families.  Groups shipped
+// to other locations copy their share, so neither slice is retained past the
+// call.
 func (m *Matrix[T]) SetBulk(idxs []domain.Index2D, vals []T) {
 	if len(idxs) != len(vals) {
 		panic("pmatrix: SetBulk index/value length mismatch")
@@ -136,9 +131,7 @@ func (m *Matrix[T]) SetBulk(idxs []domain.Index2D, vals []T) {
 		return
 	}
 	bytesPerOp := 16 + runtime.PayloadBytes(vals[0]) // (row, col) + value
-	m.InvokeBulk(idxs, core.Write, bytesPerOp, func(_ *runtime.Location, bc *bcontainer.MatrixBlock[T], k int) {
-		bc.Set(idxs[k], vals[k])
-	})
+	m.ops.set.BulkAsync(&m.Container, idxs, vals, bytesPerOp)
 }
 
 // GetBulk returns the elements at the given indices, in order (synchronous).
@@ -146,16 +139,14 @@ func (m *Matrix[T]) SetBulk(idxs []domain.Index2D, vals []T) {
 // batch size.
 func (m *Matrix[T]) GetBulk(idxs []domain.Index2D) []T {
 	out := make([]T, len(idxs))
-	m.InvokeBulkSync(idxs, core.Read, 16, func(_ *runtime.Location, bc *bcontainer.MatrixBlock[T], k int) {
-		out[k] = bc.Get(idxs[k])
-	})
+	m.ops.get.BulkSync(&m.Container, idxs, nil, out, 16)
 	return out
 }
 
 // ApplyBulk applies fn to every element named by idxs in place,
-// asynchronously (the bulk counterpart of Apply).  The index slice is
-// retained until the operations execute; do not mutate it before the next
-// Fence.
+// asynchronously (the bulk counterpart of Apply).  The request carries the
+// caller's fn, not copies: idxs and whatever fn captures are retained until
+// the operations execute; do not mutate them before the next Fence.
 func (m *Matrix[T]) ApplyBulk(idxs []domain.Index2D, fn func(T) T) {
 	m.InvokeBulk(idxs, core.Write, 16, func(_ *runtime.Location, bc *bcontainer.MatrixBlock[T], k int) {
 		bc.Apply(idxs[k], fn)
@@ -165,8 +156,9 @@ func (m *Matrix[T]) ApplyBulk(idxs []domain.Index2D, fn func(T) T) {
 // CombineBulk merges vals into the named elements with op (element becomes
 // op(current, vals[k])), asynchronously.  It is the accumulate flavour the
 // blocked kernels use to flush partial results: one bulk RMI per destination
-// per call, commutative-op semantics across concurrent contributors.  Both
-// slices are retained until the next Fence.
+// per call, commutative-op semantics across concurrent contributors.  The
+// request carries the caller's op, not copies: both slices are retained until
+// the next Fence.
 func (m *Matrix[T]) CombineBulk(idxs []domain.Index2D, vals []T, op func(cur, val T) T) {
 	if len(idxs) != len(vals) {
 		panic("pmatrix: CombineBulk index/value length mismatch")
@@ -197,8 +189,8 @@ func (m *Matrix[T]) GetRowStrip(row int64, cols domain.Range1D) []T {
 }
 
 // SetRowStrip writes vals over the row strip (row, [cols.Lo, cols.Hi)),
-// asynchronously, one grouped bulk request per owning location.  vals is
-// retained until the next Fence.
+// asynchronously, one grouped bulk request per owning location.  vals is not
+// retained past the call.
 func (m *Matrix[T]) SetRowStrip(row int64, cols domain.Range1D, vals []T) {
 	if int64(len(vals)) != cols.Size() {
 		panic("pmatrix: SetRowStrip value/range length mismatch")

@@ -26,9 +26,8 @@ type SparseMatrix[T any] struct {
 	part   *partition.Matrix
 	mapper partition.Mapper
 
-	// get and set: see Matrix.
-	get func(bc *bcontainer.SparseMatrixBlock[T], g domain.Index2D) T
-	set func(bc *bcontainer.SparseMatrixBlock[T], g domain.Index2D, val T)
+	// ops are the registered element operations for T.  See ops.go.
+	ops *elemOps[T, *bcontainer.SparseMatrixBlock[T]]
 }
 
 // NewSparse constructs an all-zero rows×cols sparse pMatrix.  Collective.
@@ -46,8 +45,7 @@ func NewSparse[T any](loc *runtime.Location, rows, cols int64, opts ...Option) *
 	dom := domain.NewRange2D(rows, cols)
 	part := partition.NewMatrix(dom, o.blocks, o.layout)
 	mapper := partition.NewBlockedMapper(part.NumSubdomains(), loc.NumLocations())
-	m := &SparseMatrix[T]{dom: dom, part: part, mapper: mapper,
-		get: (*bcontainer.SparseMatrixBlock[T]).Get, set: (*bcontainer.SparseMatrixBlock[T]).Set}
+	m := &SparseMatrix[T]{dom: dom, part: part, mapper: mapper, ops: sparseOpsFor[T]()}
 	m.InitContainer(loc, matrixResolver{part: part, mapper: mapper}, o.traits)
 	for _, b := range mapper.LocalBCIDs(loc.ID()) {
 		r, c := part.Block(b)
@@ -91,12 +89,12 @@ func (m *SparseMatrix[T]) NNZ() int64 {
 // Get returns the element at (row, col) — the stored entry, or the zero
 // value.  Synchronous.
 func (m *SparseMatrix[T]) Get(row, col int64) T {
-	return core.GetElem(&m.Container, domain.Index2D{Row: row, Col: col}, m.get)
+	return m.ops.get.Sync(&m.Container, domain.Index2D{Row: row, Col: col}, struct{}{})
 }
 
 // Set stores val at (row, col) as an explicit entry.  Asynchronous.
 func (m *SparseMatrix[T]) Set(row, col int64, val T) {
-	core.SetElem(&m.Container, domain.Index2D{Row: row, Col: col}, val, 0, m.set)
+	m.ops.set.Async(&m.Container, domain.Index2D{Row: row, Col: col}, val, 0)
 }
 
 // Apply applies fn to the element at (row, col) in place (reading zero when
@@ -117,15 +115,13 @@ func (m *SparseMatrix[T]) EraseEntry(row, col int64) {
 // One request and one response message per owning location.
 func (m *SparseMatrix[T]) GetBulk(idxs []domain.Index2D) []T {
 	out := make([]T, len(idxs))
-	m.InvokeBulkSync(idxs, core.Read, 16, func(_ *runtime.Location, bc *bcontainer.SparseMatrixBlock[T], k int) {
-		out[k] = bc.Get(idxs[k])
-	})
+	m.ops.get.BulkSync(&m.Container, idxs, nil, out, 16)
 	return out
 }
 
 // SetBulk stores vals[k] at index idxs[k] for every k, asynchronously, one
-// sized RMI per owning location.  Both slices are retained until the
-// operations execute; do not mutate them before the next Fence.
+// sized RMI per owning location.  Groups shipped to other locations copy
+// their share, so neither slice is retained past the call.
 func (m *SparseMatrix[T]) SetBulk(idxs []domain.Index2D, vals []T) {
 	if len(idxs) != len(vals) {
 		panic("pmatrix: SetBulk index/value length mismatch")
@@ -134,15 +130,14 @@ func (m *SparseMatrix[T]) SetBulk(idxs []domain.Index2D, vals []T) {
 		return
 	}
 	bytesPerOp := 16 + runtime.PayloadBytes(vals[0])
-	m.InvokeBulk(idxs, core.Write, bytesPerOp, func(_ *runtime.Location, bc *bcontainer.SparseMatrixBlock[T], k int) {
-		bc.Set(idxs[k], vals[k])
-	})
+	m.ops.set.BulkAsync(&m.Container, idxs, vals, bytesPerOp)
 }
 
 // CombineBulk merges vals into the named elements with op (element becomes
 // op(current, vals[k]), current reading zero when absent), asynchronously —
 // the accumulate flavour the sparse kernels use to flush partial results.
-// Both slices are retained until the next Fence.
+// The request carries the caller's op, not copies: both slices are retained
+// until the next Fence.
 func (m *SparseMatrix[T]) CombineBulk(idxs []domain.Index2D, vals []T, op func(cur, val T) T) {
 	if len(idxs) != len(vals) {
 		panic("pmatrix: CombineBulk index/value length mismatch")

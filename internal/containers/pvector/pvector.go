@@ -15,6 +15,7 @@ import (
 	"repro/internal/domain"
 	"repro/internal/partition"
 	"repro/internal/runtime"
+	"repro/internal/transport"
 )
 
 // blockTable is the pVector's distribution metadata: the current size of
@@ -122,10 +123,26 @@ type Vector[T any] struct {
 	mapper partition.Mapper
 	traits core.Traits
 
-	// get and set are the block's element methods as function values, built
-	// once so that Get and Set allocate no closure (core.GetElem/SetElem).
-	get func(bc *bcontainer.Vector[T], gid int64) T
-	set func(bc *bcontainer.Vector[T], gid int64, val T)
+	// ops are the registered element operations for T.
+	ops *elemOps[T]
+}
+
+// elemOps are the two registered element operations of the block at element
+// type T (see parray/ops.go: same scheme, same by-value rule).
+type elemOps[T any] struct {
+	set *core.ElemOp[int64, *bcontainer.Vector[T], T, struct{}]
+	get *core.ElemOp[int64, *bcontainer.Vector[T], struct{}, T]
+}
+
+func elemOpsFor[T any]() *elemOps[T] {
+	return core.OncePerType(func() *elemOps[T] {
+		codec := transport.CodecOf[T]()
+		name := "pvector[" + codec.Name + "]"
+		return &elemOps[T]{
+			set: core.RegisterWrite(name+"/set", name+"/bulk-set", transport.Int64Codec, codec, (*bcontainer.Vector[T]).Set),
+			get: core.RegisterRead(name+"/get", name+"/bulk-get", transport.Int64Codec, codec, (*bcontainer.Vector[T]).Get),
+		}
+	})
 }
 
 // Option customises pVector construction.
@@ -155,8 +172,7 @@ func New[T any](loc *runtime.Location, n int64, opts ...Option) *Vector[T] {
 	for i, b := range blocks {
 		sizes[i] = b.Size()
 	}
-	v := &Vector[T]{table: newBlockTable(sizes), mapper: partition.NewBlockedMapper(p, p), traits: o.traits,
-		get: (*bcontainer.Vector[T]).Get, set: (*bcontainer.Vector[T]).Set}
+	v := &Vector[T]{table: newBlockTable(sizes), mapper: partition.NewBlockedMapper(p, p), traits: o.traits, ops: elemOpsFor[T]()}
 	v.InitContainer(loc, vectorResolver{table: v.table, mapper: v.mapper}, o.traits)
 	self := loc.ID()
 	v.LocationManager().Add(bcontainer.NewVector[T](partition.BCID(self), blocks[self]))
@@ -171,12 +187,12 @@ func (v *Vector[T]) Size() int64 { return v.table.total() }
 
 // Get returns the element at global index i (synchronous).
 func (v *Vector[T]) Get(i int64) T {
-	return core.GetElem(&v.Container, i, v.get)
+	return v.ops.get.Sync(&v.Container, i, struct{}{})
 }
 
 // Set stores val at global index i (asynchronous).
 func (v *Vector[T]) Set(i int64, val T) {
-	core.SetElem(&v.Container, i, val, runtime.PayloadBytes(val), v.set)
+	v.ops.set.Async(&v.Container, i, val, runtime.PayloadBytes(val))
 }
 
 // Apply applies fn to the element at global index i in place (asynchronous).
@@ -186,15 +202,13 @@ func (v *Vector[T]) Apply(i int64, fn func(T) T) {
 
 // GetSplit starts a split-phase read of index i.
 func (v *Vector[T]) GetSplit(i int64) *runtime.FutureOf[T] {
-	f := v.InvokeSplit(i, core.Read, func(_ *runtime.Location, bc *bcontainer.Vector[T]) any { return bc.Get(i) })
-	return runtime.NewFutureOf[T](f)
+	return runtime.NewFutureOf[T](v.ops.get.Split(&v.Container, i, struct{}{}))
 }
 
 // SetBulk stores vals[k] at global index idxs[k] for every k, asynchronously:
 // the batch is resolved against the block table once and shipped as one
-// sized RMI per owning location.  Both slices are retained until the
-// operations execute; callers hand over ownership and must not mutate them
-// before the next Fence.
+// sized RMI per owning location.  Groups shipped to other locations copy
+// their share, so neither slice is retained past the call.
 func (v *Vector[T]) SetBulk(idxs []int64, vals []T) {
 	if len(idxs) != len(vals) {
 		panic("pvector: SetBulk index/value length mismatch")
@@ -203,25 +217,21 @@ func (v *Vector[T]) SetBulk(idxs []int64, vals []T) {
 		return
 	}
 	bytesPerOp := 8 + runtime.PayloadBytes(vals[0]) // index + value
-	v.InvokeBulk(idxs, core.Write, bytesPerOp, func(_ *runtime.Location, bc *bcontainer.Vector[T], k int) {
-		bc.Set(idxs[k], vals[k])
-	})
+	v.ops.set.BulkAsync(&v.Container, idxs, vals, bytesPerOp)
 }
 
 // GetBulk returns the elements at the given global indices, in order
 // (synchronous; one round trip per owning location).
 func (v *Vector[T]) GetBulk(idxs []int64) []T {
 	out := make([]T, len(idxs))
-	v.InvokeBulkSync(idxs, core.Read, 8, func(_ *runtime.Location, bc *bcontainer.Vector[T], k int) {
-		out[k] = bc.Get(idxs[k])
-	})
+	v.ops.get.BulkSync(&v.Container, idxs, nil, out, 8)
 	return out
 }
 
 // ApplyBulk applies fn to every element named by idxs in place,
-// asynchronously (the bulk counterpart of Apply).  The index slice is
-// retained until the operations execute; do not mutate it before the next
-// Fence.
+// asynchronously (the bulk counterpart of Apply).  The request carries the
+// caller's fn, not copies: idxs and whatever fn captures are retained until
+// the operations execute; do not mutate them before the next Fence.
 func (v *Vector[T]) ApplyBulk(idxs []int64, fn func(T) T) {
 	v.InvokeBulk(idxs, core.Write, 8, func(_ *runtime.Location, bc *bcontainer.Vector[T], k int) {
 		bc.Apply(idxs[k], fn)
@@ -232,8 +242,9 @@ func (v *Vector[T]) ApplyBulk(idxs []int64, fn func(T) T) {
 // op(current, vals[k])), asynchronously: the accumulate flavour of the bulk
 // path, used by the blocked matrix kernels to flush per-row partial results
 // as one grouped request per owning location.  op should be commutative when
-// several locations combine into the same element concurrently.  Both slices
-// are retained until the next Fence.
+// several locations combine into the same element concurrently.  The request
+// carries the caller's op, not copies: both slices are retained until the next
+// Fence.
 func (v *Vector[T]) CombineBulk(idxs []int64, vals []T, op func(cur, val T) T) {
 	if len(idxs) != len(vals) {
 		panic("pvector: CombineBulk index/value length mismatch")

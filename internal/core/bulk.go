@@ -2,40 +2,32 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/partition"
-	"repro/internal/runtime"
 	"repro/internal/transport"
 )
 
-// This file implements the bulk flavour of the distribution manager's method
-// skeleton: the semantic-batching counterpart of Invoke/InvokeRet.  Where
-// the per-element skeleton resolves, locks and (for remote GIDs) ships one
-// request per element — leaving message amortisation to the RTS aggregation
-// buffer — the bulk skeleton takes a whole slice of GIDs, resolves them all
-// under ONE metadata bracket, executes every local group under ONE data
-// bracket per base container, and ships ONE sized RMI per destination
-// carrying that destination's entire group.  The destination performs a
-// single handle lookup for the whole batch and repeats the same grouping for
-// any element that needs forwarding.
+// This file implements the bulk flavours of the element operation: the
+// semantic-batching counterpart of Async/Sync.  Where the per-element
+// flavours resolve, lock and (for remote GIDs) ship one request per element —
+// leaving message amortisation to the RTS aggregation buffer — a bulk call
+// takes a whole slice of GIDs, resolves them all under ONE metadata bracket,
+// applies every local group under ONE data bracket per base container, and
+// ships ONE sized RMI per destination carrying that destination's entire
+// group.  The destination performs a single handle lookup for the whole batch
+// and repeats the same walk for any element that needs forwarding.
 //
-//	InvokeBulk      — asynchronous, no results (SetBulk, ApplyBulk, ...)
-//	InvokeBulkSync  — blocks until every element operation has executed;
-//	                  actions typically gather results into a caller-owned
-//	                  slice (GetBulk, FindBulk, ...)
-//
-// The skeleton is on the container hot path, so its working state is pooled:
+// The walk is on the container hot path, so its working state is pooled:
 // resolution targets and group lists live in a recycled scratch, group index
-// slices come from a shared pool (ownership travels with the request and the
-// handler recycles them), and a shipped group rides a by-reference registered
-// operation (static handler + pooled argument) — steady-state bulk traffic
-// allocates nothing per call beyond what the caller's own action captures.
+// slices and group records come from shared pools — steady-state bulk traffic
+// allocates nothing per call beyond what the caller's own func captures.
 
 // bulkTracker counts the outstanding element operations of one synchronous
-// bulk invocation.  Remote handlers (and forwarded stragglers) decrement it
-// as they execute their groups; the issuing goroutine blocks on done.
+// bulk call.  Remote handlers (and forwarded stragglers) decrement it as they
+// apply their groups; the issuing goroutine blocks on done.
 type bulkTracker struct {
 	remaining atomic.Int64
 	done      chan struct{}
@@ -48,56 +40,149 @@ func (t *bulkTracker) complete(n int) {
 	}
 }
 
-// InvokeBulk runs action once for every element of gids on the base
-// container owning that element, asynchronously: the call returns as soon as
-// all per-destination group requests are issued.  action receives the index
-// k into gids (not the GID itself), so callers can carry per-element
-// arguments in parallel slices captured by the closure.  bytesPerOp is the
-// simulated marshalled size of one element operation; a destination's group
-// request is accounted as len(group)*bytesPerOp bytes on one message.
+// group is what one bulk walk works on: at the origin a view of the caller's
+// own slices, held on the stack; after a hop a pooled record owning compact
+// copies of its share — so the caller's slices are never retained past the
+// call.  (A closure instance's func is: it captures what the caller gave it.)
+type group[G any, A any, R any] struct {
+	gids []G
+	args []A        // per-element arguments; empty: every element takes one
+	one  A          // never encoded: only closure instances have one
+	poss []int      // positions in the origin's slices; empty at the origin: identity
+	mode AccessMode // never encoded: a decoded group takes its operation's
+	// bytesPerOp is the simulated marshalled size of one element operation; a
+	// shipped group accounts len*bytesPerOp bytes on one message.
+	bytesPerOp int
+	hops       int
+	// Where a synchronous call's results go: out and tr while the group
+	// travels by pointer, (origin, token) once it crossed by value.
+	origin int
+	token  uint64
+	out    []R          // never encoded
+	tr     *bulkTracker // never encoded
+}
+
+func (o *ElemOp[G, B, A, R]) putGroup(g *group[G, A, R]) {
+	// Truncate rather than reallocate: the compact slices' capacity is the
+	// point of pooling.  Stale elements are overwritten by the next fill.
+	*g = group[G, A, R]{gids: g.gids[:0], args: g.args[:0], poss: g.poss[:0]}
+	o.groups.Put(g)
+}
+
+// groupCodec marshals a shipped group.  Positions travel only when a reply
+// will need them; one, out and tr never do.
+func (o *ElemOp[G, B, A, R]) groupCodec(name string, gidCodec transport.Codec[G], argCodec transport.Codec[A]) transport.Codec[*group[G, A, R]] {
+	return transport.Derive(name+"-args",
+		func(b *transport.Buffer, g *group[G, A, R]) {
+			b.PutUvarint(uint64(len(g.gids)))
+			b.PutBool(len(g.args) > 0)
+			b.PutUvarint(g.token)
+			if g.token != 0 {
+				b.PutVarint(int64(g.origin))
+			}
+			for i := range g.gids {
+				gidCodec.Encode(b, g.gids[i])
+				if len(g.args) > 0 {
+					argCodec.Encode(b, g.args[i])
+				}
+				if g.token != 0 {
+					b.PutVarint(int64(g.poss[i]))
+				}
+			}
+			b.PutVarint(int64(g.bytesPerOp))
+			b.PutVarint(int64(g.hops))
+		},
+		func(b *transport.Buffer) *group[G, A, R] {
+			g := o.groups.Get().(*group[G, A, R])
+			n, hasArgs := int(b.Uvarint()), b.Bool()
+			if g.token = b.Uvarint(); g.token != 0 {
+				g.origin = int(b.Varint())
+			}
+			for ; n > 0 && b.Err() == nil; n-- {
+				g.gids = append(g.gids, gidCodec.Decode(b))
+				if hasArgs {
+					g.args = append(g.args, argCodec.Decode(b))
+				}
+				if g.token != 0 {
+					g.poss = append(g.poss, int(b.Varint()))
+				}
+			}
+			g.mode, g.bytesPerOp, g.hops = o.mode, int(b.Varint()), int(b.Varint())
+			return g
+		},
+		gidCodec, argCodec)
+}
+
+// BulkAsync runs the operation once for every element of gids, with args[k]
+// as gids[k]'s argument (nil when there is none), and returns as soon as all
+// per-destination group requests are issued.  Shipped groups copy their
+// share: neither slice is retained past the call.
 //
 // Ordering: a bulk request flushes the per-element aggregation buffer of its
 // destination before delivery, so bulk and per-element methods on the same
 // (source, destination) pair execute in invocation order.  Elements within
 // one call execute in slice order per destination; elements owned by
-// different destinations race, exactly like independent per-element invokes.
-func (c *Container[G, B]) InvokeBulk(gids []G, mode AccessMode, bytesPerOp int, action func(loc *runtime.Location, bc B, k int)) {
-	if len(gids) == 0 {
-		return
-	}
-	if c.Sequential() {
-		// Under the sequential model asynchronous methods execute
-		// synchronously (Claim 3 of Chapter VII).
-		c.InvokeBulkSync(gids, mode, bytesPerOp, action)
-		return
-	}
-	c.bulkHop(gids, nil, mode, bytesPerOp, action, nil, 0)
+// different destinations race, exactly like independent per-element calls.
+func (o *ElemOp[G, B, A, R]) BulkAsync(c *Container[G, B], gids []G, args []A, bytesPerOp int) {
+	var none A
+	o.bulk(c, gids, args, none, nil, o.mode, bytesPerOp, false)
 }
 
-// InvokeBulkSync runs action once for every element of gids and blocks until
-// all of them — local, remote and forwarded — have executed.  It is the bulk
-// counterpart of InvokeRet: gathering methods capture a results slice and
-// have action write out[k], which is safe because every k is written exactly
-// once and the completion signal orders those writes before the return.
-func (c *Container[G, B]) InvokeBulkSync(gids []G, mode AccessMode, bytesPerOp int, action func(loc *runtime.Location, bc B, k int)) {
+// BulkSync is BulkAsync that blocks until every element — local, remote and
+// forwarded — has been applied, with out[k] receiving gids[k]'s result (out
+// may be nil).  Every k is written exactly once and the completion signal
+// orders those writes before the return.
+func (o *ElemOp[G, B, A, R]) BulkSync(c *Container[G, B], gids []G, args []A, out []R, bytesPerOp int) {
+	var none A
+	o.bulk(c, gids, args, none, out, o.mode, bytesPerOp, true)
+}
+
+// bulk is the origin of both bulk flavours.  Under the Sequential model the
+// asynchronous one waits too (Claim 3 of Chapter VII).
+func (o *ElemOp[G, B, A, R]) bulk(c *Container[G, B], gids []G, args []A, one A, out []R, mode AccessMode, bytesPerOp int, wait bool) {
 	if len(gids) == 0 {
+		return
+	}
+	g := group[G, A, R]{gids: gids, args: args, one: one, out: out, mode: mode, bytesPerOp: bytesPerOp}
+	if !wait && !c.Sequential() {
+		o.walk(c, &g)
 		return
 	}
 	tr := &bulkTracker{done: make(chan struct{})}
 	tr.remaining.Store(int64(len(gids)))
-	c.bulkHop(gids, nil, mode, bytesPerOp, action, tr, 0)
+	g.tr = tr
+	if c.loc.OpCrossesByValue(o.group) {
+		// Remote groups answer with one groupRet each; the callback scatters
+		// it into out and stays registered until every element arrived (it
+		// never self-removes — groups arrive independently).
+		g.origin = c.loc.ID()
+		g.token = c.loc.RegisterToken(func(v any) bool {
+			r := v.(*groupRet[R])
+			if out != nil {
+				for i, pos := range r.poss {
+					out[pos] = r.vals[i]
+				}
+			}
+			n := len(r.poss)
+			o.putRet(r)
+			tr.complete(n)
+			return false
+		})
+		defer c.loc.UnregisterToken(g.token)
+	}
+	o.walk(c, &g)
 	c.loc.WaitDone(tr.done)
 }
 
 // bulkGroup is one destination's (or one local base container's) share of a
-// bulk invocation: the positions into gids it owns, in slice order.
+// bulk walk: the positions into the walked gids it owns, in slice order.
 type bulkGroup struct {
 	dest int
 	bcid partition.BCID // >= 0 marks a local group; -1 a shipped one
-	idxs []int          // pooled; ownership transfers to whoever executes the group
+	idxs []int          // pooled; recycled by the walk
 }
 
-// bulkScratch is the reusable working state of one bulk hop: the per-element
+// bulkScratch is the reusable working state of one bulk walk: the per-element
 // resolution table and the group list built from it.  Group counts are small
 // (a handful of base containers locally, at most P-1 destinations remotely),
 // so groups are found by linear search instead of map lookups — no hashing,
@@ -119,20 +204,8 @@ func getBulkScratch(n int) *bulkScratch {
 	return s
 }
 
-func putBulkScratch(s *bulkScratch) {
-	for i := range s.groups {
-		s.groups[i].idxs = nil // shipped or recycled by the executor
-	}
-	bulkScratchPool.Put(s)
-}
-
-// bulkIdxPool recycles the group index slices.  A slice's ownership follows
-// the group: locally executed groups recycle it in bulkHop, shipped groups
-// hand it to the destination's forward handler (bulkForwardOpFor), which
-// recycles it after the hop.
+// bulkIdxPool recycles the group index slices.
 var bulkIdxPool = sync.Pool{New: func() any { return make([]int, 0, 64) }}
-
-func getBulkIdxs() []int { return bulkIdxPool.Get().([]int)[:0] }
 
 func putBulkIdxs(idxs []int) {
 	//lint:ignore SA6002 the slice header is what we pool; its backing array
@@ -140,105 +213,36 @@ func putBulkIdxs(idxs []int) {
 	bulkIdxPool.Put(idxs[:0])
 }
 
-// bulkArgs carries one shipped group: everything the forward handler needs to
-// resume the hop at the destination.  Instances are recycled through an untyped
-// pool shared by every container instantiation; a descriptor that comes back
-// under the wrong type parameters is simply dropped (see getBulkArgs).
-type bulkArgs[G any, B BContainer] struct {
-	gids       []G
-	idxs       []int
-	mode       AccessMode
-	bytesPerOp int
-	action     func(loc *runtime.Location, bc B, k int)
-	tr         *bulkTracker
-	hops       int
-}
-
-var bulkArgsPool sync.Pool
-
-func getBulkArgs[G any, B BContainer]() *bulkArgs[G, B] {
-	if v := bulkArgsPool.Get(); v != nil {
-		if a, ok := v.(*bulkArgs[G, B]); ok {
-			return a
-		}
-		// A descriptor of another container family's instantiation: drop it
-		// (the GC reclaims it) rather than juggle per-type pools.
-	}
-	return new(bulkArgs[G, B])
-}
-
-func putBulkArgs[G any, B BContainer](a *bulkArgs[G, B]) {
-	*a = bulkArgs[G, B]{}
-	bulkArgsPool.Put(a)
-}
-
-// bulkForwardOp is the operation every shipped group of a Container[G, B]
-// travels under.  The group carries the caller's action, so its record has no
-// wire codec and the operation is by-reference whatever G is: its handler
-// resumes the hop on the destination's representative, then recycles the
-// group's index slice and the argument record.
-type bulkForwardOp[G any, B BContainer] struct{ id runtime.OpID }
-
-func bulkForwardOpFor[G any, B BContainer]() runtime.OpID {
-	return OncePerType(func() bulkForwardOp[G, B] {
-		codec := transport.CodecOf[*bulkArgs[G, B]]()
-		return bulkForwardOp[G, B]{runtime.RegisterOp("core.bulk-forward["+codec.Name+"]", codec,
-			func(obj any, _ *runtime.Location, a *bulkArgs[G, B]) {
-				obj.(*Container[G, B]).bulkHop(a.gids, a.idxs, a.mode, a.bytesPerOp, a.action, a.tr, a.hops)
-				putBulkIdxs(a.idxs)
-				putBulkArgs(a)
-			}, nil)}
-	}).id
-}
-
-// shipGroup sends one group to dest as a single sized bulk request.  The
-// group's index slice ownership transfers to the destination.
-func (c *Container[G, B]) shipGroup(dest int, gids []G, group []int, mode AccessMode, bytesPerOp int, action func(loc *runtime.Location, bc B, k int), tr *bulkTracker, hops int) {
-	a := getBulkArgs[G, B]()
-	*a = bulkArgs[G, B]{gids: gids, idxs: group, mode: mode, bytesPerOp: bytesPerOp, action: action, tr: tr, hops: hops}
-	c.loc.AsyncRMIBulkOp(dest, c.handle, len(group), bytesPerOp*len(group), c.bulkForward, a)
-}
-
-// resolveGroups is the resolution core every bulk hop shares: it resolves the
-// elements of gids selected by idxs (nil means all) under one metadata
-// bracket and groups them by owner.  Each group lists positions into gids.
-// The returned scratch (and the group index slices it holds) belongs to the
-// caller, who hands every group's slice on or recycles it and then returns
-// the scratch with putBulkScratch.
-func (c *Container[G, B]) resolveGroups(gids []G, idxs []int, hops int) *bulkScratch {
+// resolveGroups is the resolution step of a bulk walk: it resolves every
+// element of gids under one metadata bracket and groups them by owner.  Each
+// group lists positions into gids.  The returned scratch (and the group index
+// slices it holds) belongs to the caller, who recycles both.
+func (c *Container[G, B]) resolveGroups(gids []G, hops int) *bulkScratch {
 	if hops > maxForwardHops {
-		panic(fmt.Sprintf("core: bulk invocation forwarded more than %d times", maxForwardHops))
+		panic(fmt.Sprintf("core: bulk invocation for GID %v and %d more forwarded more than %d times", gids[0], len(gids)-1, maxForwardHops))
 	}
 	self := c.loc.ID()
-	n := len(gids)
-	if idxs != nil {
-		n = len(idxs)
-	}
-	s := getBulkScratch(n)
+	s := getBulkScratch(len(gids))
 
-	// Resolve every selected element under a single metadata bracket (one
-	// lock acquisition for the whole batch instead of one per element).
-	// Resolvers that can place a batch in one call take the bulk fast path;
-	// the per-element loop is the generic fallback.  The bracket is released
-	// by defer so that a fail-fast resolver panic does not leak the lock to
-	// a recovering caller.
+	// Resolve every element under a single metadata bracket (one lock
+	// acquisition for the whole batch instead of one per element).  Resolvers
+	// that can place a batch in one call take the bulk fast path; the
+	// per-element loop is the generic fallback.  The bracket is released by
+	// defer so that a fail-fast resolver panic does not leak the lock to a
+	// recovering caller.
 	func() {
 		c.ths.MetadataAccessPre(Read)
 		defer c.ths.MetadataAccessPost(Read)
 		if br, ok := c.resolver.(BulkResolver[G]); ok {
-			br.ResolveBulk(gids, idxs, s.targets[:n])
+			br.ResolveBulk(gids, nil, s.targets)
 			return
 		}
-		for i := 0; i < n; i++ {
-			k := i
-			if idxs != nil {
-				k = idxs[i]
-			}
+		for k := range gids {
 			info := c.resolver.Find(gids[k])
 			if info.Valid {
-				s.targets[i] = Placement{Dest: c.resolver.OwnerOf(info.BCID), BCID: info.BCID}
+				s.targets[k] = Placement{Dest: c.resolver.OwnerOf(info.BCID), BCID: info.BCID}
 			} else {
-				s.targets[i] = Placement{Dest: info.Hint, BCID: partition.InvalidBCID}
+				s.targets[k] = Placement{Dest: info.Hint, BCID: partition.InvalidBCID}
 			}
 		}
 	}()
@@ -251,12 +255,7 @@ func (c *Container[G, B]) resolveGroups(gids []G, idxs []int, hops int) *bulkScr
 	// path: resolution runs are long (consecutive GIDs usually share an
 	// owner), so most elements append to the group just touched.
 	last := -1
-	for i := 0; i < n; i++ {
-		k := i
-		if idxs != nil {
-			k = idxs[i]
-		}
-		t := s.targets[i]
+	for k, t := range s.targets {
 		if t.BCID < 0 && t.Dest == self {
 			panic(fmt.Sprintf("core: GID %v cannot be resolved on its directory location", gids[k]))
 		}
@@ -273,7 +272,7 @@ func (c *Container[G, B]) resolveGroups(gids []G, idxs []int, hops int) *bulkScr
 				}
 			}
 			if last < 0 {
-				s.groups = append(s.groups, bulkGroup{dest: t.Dest, bcid: key, idxs: getBulkIdxs()})
+				s.groups = append(s.groups, bulkGroup{dest: t.Dest, bcid: key, idxs: bulkIdxPool.Get().([]int)[:0]})
 				last = len(s.groups) - 1
 			}
 		}
@@ -282,47 +281,91 @@ func (c *Container[G, B]) resolveGroups(gids []G, idxs []int, hops int) *bulkScr
 	return s
 }
 
-// bulkHop performs one resolution step of a bulk invocation for the elements
-// of gids selected by idxs (nil means all).  Local groups execute in place;
-// remote groups are shipped as one bulk RMI per destination, where the same
-// grouping repeats (method forwarding happens per group, not per element).
-func (c *Container[G, B]) bulkHop(gids []G, idxs []int, mode AccessMode, bytesPerOp int, action func(loc *runtime.Location, bc B, k int), tr *bulkTracker, hops int) {
-	self := c.loc.ID()
-	s := c.resolveGroups(gids, idxs, hops)
-	defer putBulkScratch(s)
-
-	// Execute local groups in place (one data bracket per base container for
-	// the whole group); ship every other group as one sized request.  A
-	// shipped group's index slice belongs to the destination afterwards.
+// walk performs one resolution step of a bulk call over g, at the origin and
+// at every hop alike: a group whose base container is stored here is applied
+// in place under one data bracket; every other group is shipped as one bulk
+// request to its destination, where the walk repeats (method forwarding
+// happens per group, not per element).  That includes a group the metadata
+// calls local while its storage is gone — the transient window of a
+// redistribution — which ships to this location again.
+func (o *ElemOp[G, B, A, R]) walk(c *Container[G, B], g *group[G, A, R]) {
+	s := c.resolveGroups(g.gids, g.hops)
 	for gi := range s.groups {
-		g := &s.groups[gi]
-		if g.dest == self && g.bcid >= 0 {
-			bc, ok := c.locMgr.Get(g.bcid)
-			if !ok {
-				// Metadata says local but the storage moved (transient
-				// redistribution window): retry the group as a forward.
-				c.shipGroup(self, gids, g.idxs, mode, bytesPerOp, action, tr, hops+1)
-				g.idxs = nil
-				continue
-			}
-			c.ths.DataAccessPre(g.bcid, mode)
-			for _, k := range g.idxs {
-				action(c.loc, bc, k)
-			}
-			c.ths.DataAccessPost(g.bcid, mode)
-			if tr != nil {
-				if hops > 0 {
-					// This group was shipped here: its gathered results
-					// travel back as one response message.
-					c.loc.AccountReply(bytesPerOp * len(g.idxs))
-				}
-				tr.complete(len(g.idxs))
-			}
-			putBulkIdxs(g.idxs)
-			g.idxs = nil
-			continue
+		grp := &s.groups[gi]
+		var bc B
+		stored := false
+		if grp.dest == c.loc.ID() {
+			bc, stored = c.locMgr.Get(grp.bcid)
 		}
-		c.shipGroup(g.dest, gids, g.idxs, mode, bytesPerOp, action, tr, hops+1)
-		g.idxs = nil
+		if stored {
+			o.applyGroup(c, g, bc, grp)
+		} else {
+			o.shipGroup(c, grp.dest, g, grp.idxs)
+		}
+		putBulkIdxs(grp.idxs)
+		grp.idxs = nil
 	}
+	bulkScratchPool.Put(s)
+}
+
+// applyGroup applies the operation to one local group and, for a synchronous
+// call, delivers the results: straight into the origin's slice while the
+// group travelled by pointer, as one groupRet under the origin's token once
+// it crossed by value.  Either way a shipped group's results travel back as
+// one response message.
+func (o *ElemOp[G, B, A, R]) applyGroup(c *Container[G, B], g *group[G, A, R], bc B, grp *bulkGroup) {
+	var ret *groupRet[R]
+	if g.tr == nil && g.token != 0 {
+		ret = o.rets.Get().(*groupRet[R])
+	}
+	c.ths.DataAccessPre(grp.bcid, g.mode)
+	gids, args, poss, out := g.gids, g.args, g.poss, g.out // held locally: apply is opaque to the compiler
+	for _, k := range grp.idxs {
+		arg, pos := g.one, k
+		if len(args) > 0 {
+			arg = args[k]
+		}
+		if len(poss) > 0 {
+			pos = poss[k]
+		}
+		r := o.apply(c.loc, bc, gids[k], arg, pos)
+		if ret != nil {
+			ret.poss, ret.vals = append(ret.poss, pos), append(ret.vals, r)
+		} else if out != nil {
+			out[pos] = r
+		}
+	}
+	c.ths.DataAccessPost(grp.bcid, g.mode)
+	n := len(grp.idxs)
+	if g.hops > 0 && (ret != nil || g.tr != nil) {
+		c.loc.AccountReply(g.bytesPerOp * n)
+	}
+	if ret != nil {
+		c.loc.ReplyOp(g.origin, c.handle, o.group, g.token, ret)
+	} else if g.tr != nil {
+		g.tr.complete(n)
+	}
+}
+
+// shipGroup is the one place a group record leaves a location: it copies the
+// elements of g selected by idxs into a pooled record and sends it to dest as
+// a single sized bulk request.
+func (o *ElemOp[G, B, A, R]) shipGroup(c *Container[G, B], dest int, g *group[G, A, R], idxs []int) {
+	a, n := o.groups.Get().(*group[G, A, R]), len(idxs)
+	a.gids, a.poss = slices.Grow(a.gids, n)[:n], slices.Grow(a.poss, n)[:n]
+	if len(g.args) > 0 {
+		a.args = slices.Grow(a.args, n)[:n]
+	}
+	for i, k := range idxs {
+		a.gids[i], a.poss[i] = g.gids[k], k
+		if len(g.poss) > 0 {
+			a.poss[i] = g.poss[k]
+		}
+		if len(g.args) > 0 {
+			a.args[i] = g.args[k]
+		}
+	}
+	a.one, a.mode, a.bytesPerOp, a.hops = g.one, g.mode, g.bytesPerOp, g.hops+1
+	a.origin, a.token, a.out, a.tr = g.origin, g.token, g.out, g.tr
+	c.loc.AsyncRMIBulkOp(dest, c.handle, len(idxs), g.bytesPerOp*len(idxs), o.group, a)
 }

@@ -108,9 +108,10 @@ type Container[G any, B BContainer] struct {
 	resolver Resolver[G]
 	ths      ThreadSafety
 	traits   Traits
-	// bulkForward is the operation this instantiation's shipped bulk groups
-	// travel under (see bulkForwardOpFor).
-	bulkForward runtime.OpID
+	// closures are this instantiation's closure instances of the element
+	// operation (see closureOpsFor), held here so a call finds them without a
+	// type-keyed lookup.
+	closures *closureOps[G, B]
 }
 
 // InitContainer initialises the embedded base in place: it records the
@@ -125,7 +126,7 @@ func (c *Container[G, B]) InitContainer(loc *runtime.Location, resolver Resolver
 	c.traits = traits
 	c.ths = traits.manager()
 	c.locMgr = NewLocationManager[B]()
-	c.bulkForward = bulkForwardOpFor[G, B]()
+	c.closures = closureOpsFor[G, B]()
 	c.handle = loc.RegisterObject(c)
 }
 

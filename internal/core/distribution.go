@@ -5,52 +5,114 @@ import (
 
 	"repro/internal/partition"
 	"repro/internal/runtime"
+	"repro/internal/transport"
 )
 
 // This file implements the data-distribution manager's generic method
-// skeleton (Table X, Figures 8 and 17 of the paper).  Every element-wise
-// container method is expressed as one of three invoke flavours:
+// skeleton (Table X, Figures 8 and 17 of the paper): resolve the GID, run the
+// method on the base container if it is local, otherwise ship it to the
+// owning location (or, when the partition only knows a hint, to the location
+// that may know more — the paper's method forwarding) and repeat there.  The
+// skeleton itself is the element operation of ops.go and bulk.go; this file
+// holds its shared resolution step and the closure API: the instance of the
+// element operation whose argument is the caller's func, for methods that
+// apply user code to an element (Apply, ApplyGet, Visit-style updates).  A
+// func has no codec, so these requests cross locations by reference — in
+// process by pointer, over a single-process wire through the rendezvous — and
+// cannot cross a process boundary.
 //
-//	Invoke       — asynchronous, no result (set_element, insert_async, ...)
-//	InvokeRet    — synchronous, blocks for the result (get_element, ...)
-//	InvokeSplit  — split-phase, returns a Future   (split_phase_get_element)
-//
-// Each flavour starts from the same local primitive, enter: resolve the GID
-// once and, if the owning base container is local, run the action in place
-// inside its data bracket — a local element method costs that and nothing
-// else.  Otherwise the invocation continues from that resolution: it is
-// shipped to the owning location (or, when the partition only knows a hint,
-// forwarded to the location that may know more — the paper's method
-// forwarding), where enter repeats.
+//	Invoke          — asynchronous, no result (apply_set, erase_async, ...)
+//	InvokeRet       — synchronous, blocks for the result (apply_get, ...)
+//	InvokeSplit     — split-phase, returns a Future
+//	InvokeBulk      — asynchronous, one call per element of a slice
+//	InvokeBulkSync  — the same, blocking until every element ran
 
 // maxForwardHops bounds forwarding chains so that a mis-configured partition
 // produces a clear failure instead of an infinite ping-pong of requests.
 const maxForwardHops = 64
+
+// closureOps are the three closure instances of a Container[G, B]: a func
+// without a result, a func with one, and a func per element of a bulk call
+// (shipped under the name bulk groups always travelled by).
+type closureOps[G any, B BContainer] struct {
+	void *ElemOp[G, B, func(*runtime.Location, B), struct{}]
+	ret  *ElemOp[G, B, func(*runtime.Location, B) any, any]
+	bulk *ElemOp[G, B, func(*runtime.Location, B, int), struct{}]
+}
+
+func closureOpsFor[G any, B BContainer]() *closureOps[G, B] {
+	return OncePerType(func() *closureOps[G, B] {
+		// Named after the instantiation; by-reference names never leave the
+		// process, so the type descriptor's address keeps look-alikes apart.
+		inst := "[" + transport.CodecOf[*Container[G, B]]().Name + "]"
+		gid := transport.Codec[G]{}
+		// The access mode is the caller's, per call; the registered one is
+		// never used.
+		return &closureOps[G, B]{
+			void: newElemOp("core.invoke"+inst, "", Write, gid, transport.Codec[func(*runtime.Location, B)]{}, unitCodec,
+				func(loc *runtime.Location, bc B, _ G, fn func(*runtime.Location, B), _ int) struct{} {
+					fn(loc, bc)
+					return struct{}{}
+				}),
+			ret: newElemOp("core.invoke-ret"+inst, "", Write, gid, transport.Codec[func(*runtime.Location, B) any]{}, transport.Codec[any]{},
+				func(loc *runtime.Location, bc B, _ G, fn func(*runtime.Location, B) any, _ int) any {
+					return fn(loc, bc)
+				}),
+			bulk: newElemOp("", "core.bulk-forward"+inst, Write, gid, transport.Codec[func(*runtime.Location, B, int)]{}, unitCodec,
+				func(loc *runtime.Location, bc B, _ G, fn func(*runtime.Location, B, int), k int) struct{} {
+					fn(loc, bc, k)
+					return struct{}{}
+				}),
+		}
+	})
+}
 
 // Invoke runs action on the base container owning gid, asynchronously: the
 // call returns as soon as the request is issued.  mode describes whether the
 // action reads or writes the base container, so the thread-safety manager
 // can pick a shared or exclusive lock.
 func (c *Container[G, B]) Invoke(gid G, mode AccessMode, action func(loc *runtime.Location, bc B)) {
-	c.InvokeSized(gid, mode, 0, action)
+	c.closures.void.async(c, gid, mode, action, 0)
 }
 
 // InvokeSized is Invoke with an explicit simulated payload size for the
-// action's arguments, so element methods that carry a value (set_element,
-// insert_async, ...) feed the machine's byte statistics.  Remote requests
-// additionally account the fixed per-request descriptor overhead inside the
-// RTS; purely local invocations move no simulated bytes.
+// action's arguments, so methods that carry a value feed the machine's byte
+// statistics.  Purely local invocations move no simulated bytes.
 func (c *Container[G, B]) InvokeSized(gid G, mode AccessMode, bytes int, action func(loc *runtime.Location, bc B)) {
-	if c.Sequential() {
-		// Under the sequential model asynchronous methods execute
-		// synchronously (Claim 3 of Chapter VII).
-		c.InvokeRet(gid, mode, func(loc *runtime.Location, bc B) any {
-			action(loc, bc)
-			return nil
-		})
-		return
-	}
-	c.invokeHop(gid, mode, bytes, action, 0)
+	c.closures.void.async(c, gid, mode, action, bytes)
+}
+
+// InvokeRet runs action on the base container owning gid and blocks until
+// its result is available (a synchronous method).  A local element is read in
+// place; only a remote one costs a future and a round trip.
+func (c *Container[G, B]) InvokeRet(gid G, mode AccessMode, action func(loc *runtime.Location, bc B) any) any {
+	return c.closures.ret.sync(c, gid, mode, action)
+}
+
+// InvokeSplit starts a split-phase invocation of action on the base
+// container owning gid and returns a future for its result.
+func (c *Container[G, B]) InvokeSplit(gid G, mode AccessMode, action func(loc *runtime.Location, bc B) any) *runtime.Future {
+	return c.closures.ret.split(c, gid, mode, action)
+}
+
+// InvokeBulk runs action once for every element of gids on the base
+// container owning that element, asynchronously (see ElemOp.BulkAsync).
+// action receives the index k into gids (not the GID itself), so callers can
+// carry per-element arguments in parallel slices captured by the closure —
+// which the framework therefore cannot copy: whatever action captures must
+// stay untouched until the next Fence.  bytesPerOp is the simulated
+// marshalled size of one element operation.
+func (c *Container[G, B]) InvokeBulk(gids []G, mode AccessMode, bytesPerOp int, action func(loc *runtime.Location, bc B, k int)) {
+	c.closures.bulk.bulk(c, gids, nil, action, nil, mode, bytesPerOp, false)
+}
+
+// InvokeBulkSync is InvokeBulk that blocks until all elements — local, remote
+// and forwarded — have executed.  Gathering methods capture a results slice
+// and have action write out[k], which is safe because every k is written
+// exactly once and the completion signal orders those writes before the
+// return.
+func (c *Container[G, B]) InvokeBulkSync(gids []G, mode AccessMode, bytesPerOp int, action func(loc *runtime.Location, bc B, k int)) {
+	c.closures.bulk.bulk(c, gids, nil, action, nil, mode, bytesPerOp, true)
 }
 
 // enter is the local primitive every single-element method starts from: it
@@ -92,121 +154,6 @@ func (c *Container[G, B]) locate(gid G, hops int) (bc B, bcid partition.BCID, de
 		bc, local = c.locMgr.Get(info.BCID)
 	}
 	return bc, info.BCID, dest, local
-}
-
-// invokeHop performs one resolution step of an asynchronous invocation.
-func (c *Container[G, B]) invokeHop(gid G, mode AccessMode, bytes int, action func(loc *runtime.Location, bc B), hops int) {
-	bc, bcid, dest, local := c.enter(gid, mode, hops)
-	if local {
-		action(c.loc, bc)
-		c.ths.DataAccessPost(bcid, mode)
-		return
-	}
-	c.forward(dest, gid, mode, bytes, action, hops+1)
-}
-
-// forward continues an asynchronous invocation at dest, where it arrives as
-// hop number hops.
-func (c *Container[G, B]) forward(dest int, gid G, mode AccessMode, bytes int, action func(loc *runtime.Location, bc B), hops int) {
-	c.loc.AsyncRMISized(dest, c.handle, bytes, func(obj any, _ *runtime.Location) {
-		obj.(*Container[G, B]).invokeHop(gid, mode, bytes, action, hops)
-	})
-}
-
-// InvokeRet runs action on the base container owning gid and blocks until
-// its result is available (a synchronous method).  A local element is read in
-// place; only a remote one costs a future and a round trip.
-func (c *Container[G, B]) InvokeRet(gid G, mode AccessMode, action func(loc *runtime.Location, bc B) any) any {
-	bc, bcid, dest, local := c.enter(gid, mode, 0)
-	if local {
-		v := action(c.loc, bc)
-		c.ths.DataAccessPost(bcid, mode)
-		return v
-	}
-	return c.roundTrip(dest, gid, mode, action)
-}
-
-// roundTrip continues a synchronous invocation at dest, the location enter
-// resolved, and blocks for its result.
-func (c *Container[G, B]) roundTrip(dest int, gid G, mode AccessMode, action func(loc *runtime.Location, bc B) any) any {
-	fut := c.loc.NewAbortableFuture()
-	c.forwardReply(dest, gid, mode, action, fut, 1)
-	return fut.Get()
-}
-
-// InvokeSplit starts a split-phase invocation of action on the base
-// container owning gid and returns a future for its result.  The caller may
-// overlap other work and call Get later; forwarding hops are delivered
-// urgently so a blocked Get always makes progress, and the future is wired to
-// the machine's abort so a Get whose answer died with a faulting handler
-// unwinds instead of blocking.
-func (c *Container[G, B]) InvokeSplit(gid G, mode AccessMode, action func(loc *runtime.Location, bc B) any) *runtime.Future {
-	fut := c.loc.NewAbortableFuture()
-	c.invokeReplyHop(gid, mode, action, fut, 0)
-	return fut
-}
-
-// invokeReplyHop performs one resolution step of a value-returning
-// invocation, completing fut when the action finally runs.
-func (c *Container[G, B]) invokeReplyHop(gid G, mode AccessMode, action func(loc *runtime.Location, bc B) any, fut *runtime.Future, hops int) {
-	bc, bcid, dest, local := c.enter(gid, mode, hops)
-	if local {
-		v := action(c.loc, bc)
-		c.ths.DataAccessPost(bcid, mode)
-		fut.Complete(v)
-		if hops > 0 {
-			// The result travelled back to the issuing location: one
-			// response message carrying the marshalled value.
-			c.loc.AccountReply(runtime.PayloadBytes(v))
-		}
-		return
-	}
-	c.forwardReply(dest, gid, mode, action, fut, hops+1)
-}
-
-// forwardReply continues a value-returning invocation at dest, where it
-// arrives as hop number hops.
-func (c *Container[G, B]) forwardReply(dest int, gid G, mode AccessMode, action func(loc *runtime.Location, bc B) any, fut *runtime.Future, hops int) {
-	c.loc.AsyncRMIUrgent(dest, c.handle, func(obj any, _ *runtime.Location) {
-		obj.(*Container[G, B]).invokeReplyHop(gid, mode, action, fut, hops)
-	})
-}
-
-// GetElem and SetElem are the typed element methods of the families whose
-// remote requests travel as closures (pVector, pMatrix, pList, ...).  get and
-// set are function values the container built once, so a local element costs
-// enter, the call and the bracket's release: no closure, no future, no boxed
-// value.  Only the remote branch builds a closure, and ships it to the
-// location enter resolved; its requests are InvokeRet's and InvokeSized's.
-
-// GetElem returns get(bc, gid) under the read bracket.  Synchronous.
-func GetElem[G any, B BContainer, V any](c *Container[G, B], gid G, get func(bc B, gid G) V) V {
-	bc, bcid, dest, local := c.enter(gid, Read, 0)
-	if local {
-		v := get(bc, gid)
-		c.ths.DataAccessPost(bcid, Read)
-		return v
-	}
-	return c.roundTrip(dest, gid, Read, func(_ *runtime.Location, bc B) any { return get(bc, gid) }).(V)
-}
-
-// SetElem runs set(bc, gid, val) under the write bracket, asynchronously
-// (synchronously under the Sequential model).  bytes is val's simulated size.
-func SetElem[G any, B BContainer, V any](c *Container[G, B], gid G, val V, bytes int, set func(bc B, gid G, val V)) {
-	bc, bcid, dest, local := c.enter(gid, Write, 0)
-	if local {
-		set(bc, gid, val)
-		c.ths.DataAccessPost(bcid, Write)
-		return
-	}
-	if c.Sequential() {
-		c.roundTrip(dest, gid, Write, func(_ *runtime.Location, bc B) any {
-			set(bc, gid, val)
-			return nil
-		})
-		return
-	}
-	c.forward(dest, gid, Write, bytes, func(_ *runtime.Location, bc B) { set(bc, gid, val) }, 1)
 }
 
 // InvokeAt runs action on a specific location's representative regardless of

@@ -100,10 +100,19 @@ func (f *Future) Done() bool {
 // FutureOf is a typed wrapper around Future (see NewFutureOf).
 type FutureOf[T any] struct {
 	f *Future
+	// project extracts the T from the untyped value; nil when the value is
+	// the T itself.
+	project func(any) T
 }
 
-// NewFutureOf wraps an untyped future.
+// NewFutureOf wraps an untyped future whose value is a T.
 func NewFutureOf[T any](f *Future) *FutureOf[T] { return &FutureOf[T]{f: f} }
+
+// MapFuture wraps an untyped future whose value carries more than the T the
+// caller is promised (a find's (value, ok) reply): project picks the T out.
+func MapFuture[T any](f *Future, project func(any) T) *FutureOf[T] {
+	return &FutureOf[T]{f: f, project: project}
+}
 
 // CompletedFuture returns an already-resolved typed future holding v.
 func CompletedFuture[T any](v T) *FutureOf[T] {
@@ -112,8 +121,15 @@ func CompletedFuture[T any](v T) *FutureOf[T] {
 	return &FutureOf[T]{f: f}
 }
 
+func (f *FutureOf[T]) typed(v any) T {
+	if f.project != nil {
+		return f.project(v)
+	}
+	return v.(T)
+}
+
 // Get blocks until the value is available.
-func (f *FutureOf[T]) Get() T { return f.f.Get().(T) }
+func (f *FutureOf[T]) Get() T { return f.typed(f.f.Get()) }
 
 // TryGet returns the value without blocking if it is available.
 func (f *FutureOf[T]) TryGet() (T, bool) {
@@ -122,7 +138,7 @@ func (f *FutureOf[T]) TryGet() (T, bool) {
 		var zero T
 		return zero, false
 	}
-	return v.(T), true
+	return f.typed(v), true
 }
 
 // Done reports whether the value is available.

@@ -367,71 +367,11 @@ func (t *wireTransport) onFrame(src, dst int, frame []byte) {
 			break
 		}
 	}
+	var held []*rmiRequest
 	if selfDecoding {
-		// Reconstruct the batch from bytes alone: look up each operation,
-		// decode its argument and rebuild the request — no sender state.
-		held := make([]*rmiRequest, len(descs))
-		for i, d := range descs {
-			e := opByID(OpID(d.Op))
-			b := transport.NewReader(d.Arg)
-			req := getRequest()
-			*req = rmiRequest{
-				src:    hdr.Src,
-				handle: Handle(d.Handle),
-				kind:   d.Kind,
-				op:     e,
-				bytes:  int(d.Bytes),
-			}
-			if !req.byValue() {
-				panic(fmt.Sprintf("runtime: frame %d->%d seq %d names op %q, which has no codec for kind 0x%02x", src, dst, hdr.Seq, e.name, d.Kind))
-			}
-			if d.Kind == transport.KindReply {
-				req.token = d.Token
-				req.arg = e.decodeRet(b)
-			} else {
-				req.arg = e.decode(b)
-			}
-			if err := b.Err(); err != nil {
-				panic(fmt.Sprintf("runtime: frame %d->%d seq %d: decoding argument of op %q: %v", src, dst, hdr.Seq, e.name, err))
-			}
-			// The artificial latency is a deterministic function of the pair,
-			// so the receiver recomputes exactly what the sender would have
-			// stamped.
-			if t.m.cfg.RemoteDelay != nil {
-				req.delay = t.m.cfg.RemoteDelay(hdr.Src, hdr.Dst)
-			}
-			held[i] = req
-		}
-		r := &t.recvs[t.pair(src, dst)]
-		r.mu.Lock()
-		if hdr.Seq != r.expected {
-			r.mu.Unlock()
-			panic(fmt.Sprintf("runtime: wire delivered frame %d->%d seq %d, expected %d (FIFO violated below the reliable layer?)", src, dst, hdr.Seq, r.expected))
-		}
-		r.expected++
-		if t.arrived != nil {
-			t.arrived(src, len(held))
-		}
-		t.m.locations[dst].inbox.pushAll(held)
-		r.mu.Unlock()
-		return
-	}
-
-	key := wireKey{hdr.Src, hdr.Dst, hdr.Seq}
-	t.pendMu.Lock()
-	held, ok := t.pending[key]
-	delete(t.pending, key)
-	t.pendMu.Unlock()
-	if !ok {
-		panic(fmt.Sprintf("runtime: no rendezvous batch for frame %d->%d seq %d (duplicate delivery?)", src, dst, hdr.Seq))
-	}
-	if len(descs) != len(held) {
-		panic(fmt.Sprintf("runtime: frame %d->%d seq %d carries %d descriptors for a batch of %d requests", src, dst, hdr.Seq, len(descs), len(held)))
-	}
-	for i, d := range descs {
-		if Handle(d.Handle) != held[i].handle || d.Kind != held[i].kind {
-			panic(fmt.Sprintf("runtime: frame %d->%d seq %d descriptor %d does not match its request", src, dst, hdr.Seq, i))
-		}
+		held = t.decodeBatch(hdr, descs)
+	} else {
+		held = t.claimBatch(hdr, descs)
 	}
 
 	r := &t.recvs[t.pair(src, dst)]
@@ -449,6 +389,67 @@ func (t *wireTransport) onFrame(src, dst int, frame []byte) {
 	// that true even if a future wire grows concurrent delivery.
 	t.m.locations[dst].inbox.pushAll(held)
 	r.mu.Unlock()
+}
+
+// decodeBatch reconstructs a self-decoding batch from bytes alone: look up
+// each operation, decode its argument and rebuild the request — no sender
+// state.
+func (t *wireTransport) decodeBatch(hdr transport.BatchHeader, descs []transport.RequestDescriptor) []*rmiRequest {
+	held := make([]*rmiRequest, len(descs))
+	for i, d := range descs {
+		e := opByID(OpID(d.Op))
+		b := transport.NewReader(d.Arg)
+		req := getRequest()
+		*req = rmiRequest{
+			src:    hdr.Src,
+			handle: Handle(d.Handle),
+			kind:   d.Kind,
+			op:     e,
+			bytes:  int(d.Bytes),
+		}
+		if !req.byValue() {
+			panic(fmt.Sprintf("runtime: frame %d->%d seq %d names op %q, which has no codec for kind 0x%02x", hdr.Src, hdr.Dst, hdr.Seq, e.name, d.Kind))
+		}
+		if d.Kind == transport.KindReply {
+			req.token = d.Token
+			req.arg = e.decodeRet(b)
+		} else {
+			req.arg = e.decode(b)
+		}
+		if err := b.Err(); err != nil {
+			panic(fmt.Sprintf("runtime: frame %d->%d seq %d: decoding argument of op %q: %v", hdr.Src, hdr.Dst, hdr.Seq, e.name, err))
+		}
+		// The artificial latency is a deterministic function of the pair,
+		// so the receiver recomputes exactly what the sender would have
+		// stamped.
+		if t.m.cfg.RemoteDelay != nil {
+			req.delay = t.m.cfg.RemoteDelay(hdr.Src, hdr.Dst)
+		}
+		held[i] = req
+	}
+	return held
+}
+
+// claimBatch matches a rendezvous frame back to the batch waiting in the
+// sender-side table and checks the descriptors against it.
+func (t *wireTransport) claimBatch(hdr transport.BatchHeader, descs []transport.RequestDescriptor) []*rmiRequest {
+	key := wireKey{hdr.Src, hdr.Dst, hdr.Seq}
+	t.pendMu.Lock()
+	held, ok := t.pending[key]
+	delete(t.pending, key)
+	t.pendMu.Unlock()
+	if !ok {
+		panic(fmt.Sprintf("runtime: no rendezvous batch for frame %d->%d seq %d (duplicate delivery?)", hdr.Src, hdr.Dst, hdr.Seq))
+	}
+	if len(descs) != len(held) {
+		panic(fmt.Sprintf("runtime: frame %d->%d seq %d carries %d descriptors for a batch of %d requests", hdr.Src, hdr.Dst, hdr.Seq, len(descs), len(held)))
+	}
+	for i, d := range descs {
+		if Handle(d.Handle) != held[i].handle || d.Kind != held[i].kind {
+			panic(fmt.Sprintf("runtime: frame %d->%d seq %d descriptor %d does not match its request", hdr.Src, hdr.Dst, hdr.Seq, i))
+		}
+	}
+	return held
 }
 
 func (t *wireTransport) Flush(int) {}

@@ -138,7 +138,7 @@ func ReadBatch[T any](v RandomAccess[T], idxs []int64) []T {
 }
 
 // WriteBatch writes vals at idxs through the view's bulk path when it has
-// one.  Like SetBulk it retains both slices until the next fence.
+// one.  Like the containers' SetBulk it retains neither slice.
 func WriteBatch[T any](v RandomAccess[T], idxs []int64, vals []T) {
 	if b, ok := any(v).(BulkAccess[T]); ok {
 		b.SetBulk(idxs, vals)

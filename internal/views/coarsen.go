@@ -157,9 +157,8 @@ func ReadChunk[T any](v RandomAccess[T], r domain.Range1D) []T {
 }
 
 // WriteChunk writes vals to the view elements [r.Lo, r.Hi), using the
-// view's bulk path when it has one.  Bulk sets are asynchronous and retain
-// their argument slices until the next fence; callers hand over ownership
-// of vals and must not reuse it before the fence.
+// view's bulk path when it has one.  Bulk sets are asynchronous but copy
+// what they ship: vals is the caller's again when the call returns.
 func WriteChunk[T any](v RandomAccess[T], r domain.Range1D, vals []T) {
 	if b, ok := any(v).(BulkAccess[T]); ok {
 		b.SetBulk(iota64(r.Lo, r.Hi), vals)
@@ -182,8 +181,7 @@ func Segment[T any](v RandomAccess[T], r domain.Range1D) ([]T, bool) {
 // WriteRange writes vals (one value per index of [r.Lo, r.Hi)) into the
 // view, coarsening the range first: runs backed by local storage are copied
 // directly, the remainder goes through the bulk path in one grouped write
-// per run.  Like WriteChunk it takes ownership of vals until the next
-// fence.
+// per run.  Like WriteChunk it does not retain vals.
 func WriteRange[T any](loc *runtime.Location, v Partitioned[T], r domain.Range1D, vals []T) {
 	if r.Empty() {
 		return

@@ -30,8 +30,9 @@ type HaloChunk[T any] struct {
 }
 
 // At returns the materialised element at view index i; i must lie inside
-// the chunk's clamped halo window.
-func (c HaloChunk[T]) At(i int64) T { return c.Data[i-c.Lo] }
+// the chunk's clamped halo window.  Pointer receiver: stencil loops call it
+// several times a cell, and a value receiver copies the descriptor each time.
+func (c *HaloChunk[T]) At(i int64) T { return c.Data[i-c.Lo] }
 
 // ExchangeHalo materialises the calling location's share of the view with
 // left/right halo cells of the given widths (clamped at the domain
