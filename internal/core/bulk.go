@@ -69,8 +69,13 @@ func (o *ElemOp[G, B, A, R]) putGroup(g *group[G, A, R]) {
 	o.groups.Put(g)
 }
 
-// groupCodec marshals a shipped group.  Positions travel only when a reply
-// will need them; one, out and tr never do.
+// groupCodec marshals a shipped group: the count and the header, then the
+// GIDs, the arguments and the positions each as one column (the element
+// codecs' slice form), so a group of n costs three loops and not 3n codec
+// calls.  Positions travel only when a reply will need them; one, out and tr
+// never do.  The decoder grows the pooled record's slices once, from a count
+// it has checked against the bytes that are left — every GID takes at least
+// one — so a corrupt count is a decode error and not an allocation.
 func (o *ElemOp[G, B, A, R]) groupCodec(name string, gidCodec transport.Codec[G], argCodec transport.Codec[A]) transport.Codec[*group[G, A, R]] {
 	return transport.Derive(name+"-args",
 		func(b *transport.Buffer, g *group[G, A, R]) {
@@ -80,37 +85,50 @@ func (o *ElemOp[G, B, A, R]) groupCodec(name string, gidCodec transport.Codec[G]
 			if g.token != 0 {
 				b.PutVarint(int64(g.origin))
 			}
-			for i := range g.gids {
-				gidCodec.Encode(b, g.gids[i])
-				if len(g.args) > 0 {
-					argCodec.Encode(b, g.args[i])
-				}
-				if g.token != 0 {
-					b.PutVarint(int64(g.poss[i]))
-				}
-			}
 			b.PutVarint(int64(g.bytesPerOp))
 			b.PutVarint(int64(g.hops))
+			gidCodec.EncodeSlice(b, g.gids)
+			argCodec.EncodeSlice(b, g.args)
+			if g.token != 0 {
+				transport.IntCodec.EncodeSlice(b, g.poss)
+			}
 		},
 		func(b *transport.Buffer) *group[G, A, R] {
 			g := o.groups.Get().(*group[G, A, R])
-			n, hasArgs := int(b.Uvarint()), b.Bool()
+			n, hasArgs := columnLen(b), b.Bool()
 			if g.token = b.Uvarint(); g.token != 0 {
 				g.origin = int(b.Varint())
 			}
-			for ; n > 0 && b.Err() == nil; n-- {
-				g.gids = append(g.gids, gidCodec.Decode(b))
-				if hasArgs {
-					g.args = append(g.args, argCodec.Decode(b))
-				}
-				if g.token != 0 {
-					g.poss = append(g.poss, int(b.Varint()))
-				}
-			}
 			g.mode, g.bytesPerOp, g.hops = o.mode, int(b.Varint()), int(b.Varint())
+			g.gids = slices.Grow(g.gids, n)[:n]
+			gidCodec.DecodeSlice(b, g.gids)
+			if hasArgs {
+				g.args = slices.Grow(g.args, n)[:n]
+				argCodec.DecodeSlice(b, g.args)
+			}
+			if g.token != 0 {
+				g.poss = slices.Grow(g.poss, n)[:n]
+				transport.IntCodec.DecodeSlice(b, g.poss)
+			}
+			if b.Err() != nil {
+				o.putGroup(g) // a corrupt frame yields no record and costs the pool none
+				return nil
+			}
 			return g
 		},
 		gidCodec, argCodec)
+}
+
+// columnLen decodes the element count a record's columns are sized from.  A
+// count beyond the bytes left cannot be honest; it fails the decode and reads
+// as zero, so nothing is allocated for it.
+func columnLen(b *transport.Buffer) int {
+	n := b.Uvarint()
+	if n > uint64(b.Remaining()) {
+		b.Fail("corrupt record: %d elements, %d bytes left", n, b.Remaining())
+		return 0
+	}
+	return int(n)
 }
 
 // BulkAsync runs the operation once for every element of gids, with args[k]

@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"slices"
 	"sync"
 
 	"repro/internal/runtime"
@@ -95,7 +96,9 @@ type elemRec[G any, A any] struct {
 func (a *elemRec[G, A]) wantsReply() bool { return a.fut != nil || a.token != 0 }
 
 // groupRet is one bulk reply: a shipped group's results with their positions
-// in the origin's result slice.
+// in the origin's result slice.  The origin's completion callback recycles the
+// record it is handed; the one the owner built is recycled by the wire adapter
+// once it is encoded.
 type groupRet[R any] struct {
 	poss []int
 	vals []R
@@ -109,6 +112,59 @@ func (o *ElemOp[G, B, A, R]) putRec(a *elemRec[G, A]) {
 func (o *ElemOp[G, B, A, R]) putRet(r *groupRet[R]) {
 	r.poss, r.vals = r.poss[:0], r.vals[:0]
 	o.rets.Put(r)
+}
+
+// elemCodec marshals an element record.  fut never travels; the origin does
+// only behind a token.
+func (o *ElemOp[G, B, A, R]) elemCodec(name string, gidCodec transport.Codec[G], argCodec transport.Codec[A]) transport.Codec[*elemRec[G, A]] {
+	return transport.Derive(name+"-args",
+		func(b *transport.Buffer, a *elemRec[G, A]) {
+			gidCodec.Encode(b, a.gid)
+			argCodec.Encode(b, a.arg)
+			b.PutVarint(int64(a.bytes))
+			b.PutVarint(int64(a.hops))
+			b.PutUvarint(a.token)
+			if a.token != 0 {
+				b.PutVarint(int64(a.origin))
+			}
+		},
+		func(b *transport.Buffer) *elemRec[G, A] {
+			a := o.recs.Get().(*elemRec[G, A])
+			a.gid, a.arg, a.mode = gidCodec.Decode(b), argCodec.Decode(b), o.mode
+			a.bytes, a.hops = int(b.Varint()), int(b.Varint())
+			if a.token = b.Uvarint(); a.token != 0 {
+				a.origin = int(b.Varint())
+			}
+			if b.Err() != nil {
+				o.putRec(a)
+				return nil
+			}
+			return a
+		},
+		gidCodec, argCodec)
+}
+
+// groupRetCodec marshals a bulk reply like groupCodec marshals the group: the
+// count, then the positions and the values as columns.
+func (o *ElemOp[G, B, A, R]) groupRetCodec(name string, retCodec transport.Codec[R]) transport.Codec[*groupRet[R]] {
+	return transport.Derive(name+"-ret",
+		func(b *transport.Buffer, r *groupRet[R]) {
+			b.PutUvarint(uint64(len(r.poss)))
+			transport.IntCodec.EncodeSlice(b, r.poss)
+			retCodec.EncodeSlice(b, r.vals)
+		},
+		func(b *transport.Buffer) *groupRet[R] {
+			r, n := o.rets.Get().(*groupRet[R]), columnLen(b)
+			r.poss, r.vals = slices.Grow(r.poss, n)[:n], slices.Grow(r.vals, n)[:n]
+			transport.IntCodec.DecodeSlice(b, r.poss)
+			retCodec.DecodeSlice(b, r.vals)
+			if b.Err() != nil {
+				o.putRet(r)
+				return nil
+			}
+			return r
+		},
+		retCodec)
 }
 
 // unitCodec marshals the absent argument of a read and the absent result of a
@@ -151,56 +207,18 @@ func newElemOp[G any, B BContainer, A any, R any](
 	o.groups.New = func() any { return new(group[G, A, R]) }
 	o.rets.New = func() any { return new(groupRet[R]) }
 	if elemName != "" {
-		codec := transport.Derive(elemName+"-args",
-			func(b *transport.Buffer, a *elemRec[G, A]) {
-				gidCodec.Encode(b, a.gid)
-				argCodec.Encode(b, a.arg)
-				b.PutVarint(int64(a.bytes))
-				b.PutVarint(int64(a.hops))
-				b.PutUvarint(a.token)
-				if a.token != 0 {
-					b.PutVarint(int64(a.origin))
-				}
-			},
-			func(b *transport.Buffer) *elemRec[G, A] {
-				a := o.recs.Get().(*elemRec[G, A])
-				a.gid, a.arg, a.mode = gidCodec.Decode(b), argCodec.Decode(b), mode
-				a.bytes, a.hops = int(b.Varint()), int(b.Varint())
-				if a.token = b.Uvarint(); a.token != 0 {
-					a.origin = int(b.Varint())
-				}
-				return a
-			},
-			gidCodec, argCodec)
-		o.elem = runtime.RegisterOpRet(elemName, codec, retCodec,
+		o.elem = runtime.RegisterOpRet(elemName, o.elemCodec(elemName, gidCodec, argCodec), retCodec,
 			func(obj any, _ *runtime.Location, a *elemRec[G, A]) { o.hop(obj.(*Container[G, B]), a) },
-			o.putRec)
+			o.putRec, nil)
 	}
 	if groupName != "" {
 		o.group = runtime.RegisterOpRet(groupName,
-			o.groupCodec(groupName, gidCodec, argCodec),
-			transport.Derive(groupName+"-ret",
-				func(b *transport.Buffer, r *groupRet[R]) {
-					b.PutUvarint(uint64(len(r.poss)))
-					for i, pos := range r.poss {
-						b.PutVarint(int64(pos))
-						retCodec.Encode(b, r.vals[i])
-					}
-				},
-				func(b *transport.Buffer) *groupRet[R] {
-					r := o.rets.Get().(*groupRet[R])
-					for n := int(b.Uvarint()); n > 0 && b.Err() == nil; n-- {
-						r.poss = append(r.poss, int(b.Varint()))
-						r.vals = append(r.vals, retCodec.Decode(b))
-					}
-					return r
-				},
-				retCodec),
+			o.groupCodec(groupName, gidCodec, argCodec), o.groupRetCodec(groupName, retCodec),
 			func(obj any, _ *runtime.Location, g *group[G, A, R]) {
 				o.walk(obj.(*Container[G, B]), g)
 				o.putGroup(g)
 			},
-			o.putGroup)
+			o.putGroup, o.putRet)
 	}
 	return o
 }

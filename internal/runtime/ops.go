@@ -69,6 +69,9 @@ type opEntry struct {
 	// operations.
 	encodeRet func(b *transport.Buffer, v any)
 	decodeRet func(b *transport.Buffer) any
+	// releaseRet is release for an encoded-and-dropped reply value.  May be
+	// nil.
+	releaseRet func(v any)
 }
 
 // Registration is init-time and rare while every RMI issue and every decoded
@@ -131,8 +134,11 @@ func RegisterOp[A any](name string, argCodec transport.Codec[A], exec func(obj a
 // the result itself and sends it home with Location.ReplyOp (or completes the
 // in-memory future the argument carries, on in-process delivery); retCodec is
 // how a by-value operation's reply is marshalled on KindReply frames.  The
-// operation is by-value only if both codecs are.
-func RegisterOpRet[A any, R any](name string, argCodec transport.Codec[A], retCodec transport.Codec[R], exec func(obj any, loc *Location, arg A), release func(A)) OpID {
+// operation is by-value only if both codecs are.  releaseRet, when non-nil, is
+// release for replies: it returns a pooled reply value to its pool after the
+// answering side encoded and dropped it (the origin's completion callback
+// recycles the decoded one).
+func RegisterOpRet[A any, R any](name string, argCodec transport.Codec[A], retCodec transport.Codec[R], exec func(obj any, loc *Location, arg A), release func(A), releaseRet func(R)) OpID {
 	if !retCodec.ByValue() {
 		argCodec = transport.Codec[A]{}
 	}
@@ -140,6 +146,9 @@ func RegisterOpRet[A any, R any](name string, argCodec transport.Codec[A], retCo
 	if e.encode != nil {
 		e.encodeRet = func(b *transport.Buffer, v any) { retCodec.Encode(b, v.(R)) }
 		e.decodeRet = func(b *transport.Buffer) any { return retCodec.Decode(b) }
+		if releaseRet != nil {
+			e.releaseRet = func(v any) { releaseRet(v.(R)) }
+		}
 	}
 	return registerOpEntry(name, e)
 }

@@ -3,6 +3,7 @@ package runtime
 import (
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -186,7 +187,7 @@ type wireTransport struct {
 
 	// pending is the rendezvous table of in-flight closure batches.
 	pendMu  sync.Mutex
-	pending map[wireKey][]*rmiRequest
+	pending map[wireKey]*wireScratch
 
 	// fallbacks counts requests that crossed as bare descriptors because
 	// they were closures or by-reference operations.
@@ -221,7 +222,7 @@ func newWireTransport(m *Machine, wire transport.Wire) *wireTransport {
 		wire:    wire,
 		pairs:   make([]wirePairSend, n*n),
 		recvs:   make([]wirePairRecv, n*n),
-		pending: make(map[wireKey][]*rmiRequest),
+		pending: make(map[wireKey]*wireScratch),
 	}
 	// Asynchronous wire failures (dial exhaustion, peer resets) become
 	// machine-level transport faults instead of panics on wire goroutines.
@@ -256,6 +257,36 @@ func (r *rmiRequest) describe() string {
 	return fmt.Sprintf("by-reference operation %q (handle %d, kind 0x%02x)", r.op.name, r.handle, r.kind)
 }
 
+// wireScratch is the adapter's working memory for one message.  A sender
+// encodes the batch's arguments into enc back to back and slices descs out of
+// it; a receiver decodes the arguments through dec and collects the rebuilt
+// requests in reqs on their way to the mailbox.  None of it outlives the
+// message — EncodeBatch copies the arguments into the frame it allocates,
+// decoded values never alias what they were read from, the mailbox copies the
+// request pointers — which is what makes it poolable where a frame is not (see
+// transport.Wire).  A rendezvous batch parks its requests in reqs and its
+// scratch in the pending table; the receive callback that claims it gives it
+// back.
+type wireScratch struct {
+	enc   transport.Buffer
+	descs []transport.RequestDescriptor
+	dec   transport.Buffer
+	reqs  []*rmiRequest
+}
+
+var wireScratchPool = sync.Pool{New: func() any { return new(wireScratch) }}
+
+// putWireScratch empties ws — keeping its storage, dropping every reference
+// into frames, arguments and requests — and pools it.
+func putWireScratch(ws *wireScratch) {
+	ws.enc.Reset(ws.enc.Bytes()[:0])
+	ws.dec.Reset(nil)
+	clear(ws.descs)
+	clear(ws.reqs)
+	ws.descs, ws.reqs = ws.descs[:0], ws.reqs[:0]
+	wireScratchPool.Put(ws)
+}
+
 func (t *wireTransport) Deliver(src, dst int, batch []*rmiRequest) {
 	selfDecoding := true
 	for _, req := range batch {
@@ -265,12 +296,11 @@ func (t *wireTransport) Deliver(src, dst int, batch []*rmiRequest) {
 		}
 	}
 
-	descs := make([]transport.RequestDescriptor, len(batch))
+	ws := wireScratchPool.Get().(*wireScratch)
+	enc := &ws.enc
+	ws.descs = slices.Grow(ws.descs, len(batch))[:len(batch)]
+	descs := ws.descs
 	payload := 0
-	var enc *transport.Buffer
-	if selfDecoding {
-		enc = transport.NewBuffer()
-	}
 	for i, req := range batch {
 		descs[i] = transport.RequestDescriptor{
 			Handle: int32(req.handle),
@@ -283,24 +313,17 @@ func (t *wireTransport) Deliver(src, dst int, batch []*rmiRequest) {
 		}
 		e := req.op
 		descs[i].Op = uint64(e.id)
-		// Reset to nil (not a truncation): Bytes aliases the buffer, so each
-		// argument must grow its own backing array to survive the loop.
-		enc.Reset(nil)
+		start := enc.Len()
 		if req.kind == transport.KindReply {
 			descs[i].Token = req.token
 			e.encodeRet(enc, req.arg)
 		} else {
 			e.encode(enc, req.arg)
 		}
-		descs[i].Arg = enc.Bytes()
-	}
-
-	var held []*rmiRequest
-	if !selfDecoding {
-		// Copy the requests out: the caller recycles the batch slice, and
-		// the closures must survive until the frame arrives.
-		held = make([]*rmiRequest, len(batch))
-		copy(held, batch)
+		// Sliced at once: a later argument may grow the buffer into a new
+		// array, but growing copies and never writes the old one, so the bytes
+		// this argument was written to stay what they are.
+		descs[i].Arg = enc.Bytes()[start:]
 	}
 
 	p := &t.pairs[t.pair(src, dst)]
@@ -308,8 +331,11 @@ func (t *wireTransport) Deliver(src, dst int, batch []*rmiRequest) {
 	seq := p.next
 	p.next++
 	if !selfDecoding {
+		// Copy the requests out: the caller recycles the batch slice, and
+		// the closures must survive until the frame arrives.
+		ws.reqs = append(ws.reqs, batch...)
 		t.pendMu.Lock()
-		t.pending[wireKey{src, dst, seq}] = held
+		t.pending[wireKey{src, dst, seq}] = ws
 		t.pendMu.Unlock()
 	}
 	frame := transport.EncodeBatch(transport.BatchHeader{
@@ -322,11 +348,17 @@ func (t *wireTransport) Deliver(src, dst int, batch []*rmiRequest) {
 	p.mu.Unlock()
 
 	if selfDecoding {
-		// The frame carries everything; recycle the requests (and their
-		// pooled arguments) on the sender.
+		// The frame carries everything; recycle the scratch, and the requests
+		// (and their pooled arguments) on the sender.  A rendezvous batch's
+		// scratch is the receive callback's to recycle, possibly already.
+		putWireScratch(ws)
 		for _, req := range batch {
-			if req.kind != transport.KindReply && req.op.release != nil {
-				req.op.release(req.arg)
+			release := req.op.release
+			if req.kind == transport.KindReply {
+				release = req.op.releaseRet
+			}
+			if release != nil {
+				release(req.arg)
 			}
 			putRequest(req)
 		}
@@ -367,11 +399,11 @@ func (t *wireTransport) onFrame(src, dst int, frame []byte) {
 			break
 		}
 	}
-	var held []*rmiRequest
+	var ws *wireScratch
 	if selfDecoding {
-		held = t.decodeBatch(hdr, descs)
+		ws = t.decodeBatch(hdr, descs)
 	} else {
-		held = t.claimBatch(hdr, descs)
+		ws = t.claimBatch(hdr, descs)
 	}
 
 	r := &t.recvs[t.pair(src, dst)]
@@ -382,23 +414,25 @@ func (t *wireTransport) onFrame(src, dst int, frame []byte) {
 	}
 	r.expected++
 	if t.arrived != nil {
-		t.arrived(src, len(held))
+		t.arrived(src, len(ws.reqs))
 	}
 	// Push while holding the pair's receive lock: delivery callbacks for a
 	// pair are already serialised by the reliable layer, and the lock keeps
 	// that true even if a future wire grows concurrent delivery.
-	t.m.locations[dst].inbox.pushAll(held)
+	t.m.locations[dst].inbox.pushAll(ws.reqs)
 	r.mu.Unlock()
+	putWireScratch(ws)
 }
 
 // decodeBatch reconstructs a self-decoding batch from bytes alone: look up
-// each operation, decode its argument and rebuild the request — no sender
-// state.
-func (t *wireTransport) decodeBatch(hdr transport.BatchHeader, descs []transport.RequestDescriptor) []*rmiRequest {
-	held := make([]*rmiRequest, len(descs))
-	for i, d := range descs {
+// each operation, decode its argument where it lies in the frame and rebuild
+// the request — no sender state, no copy of the argument bytes.
+func (t *wireTransport) decodeBatch(hdr transport.BatchHeader, descs []transport.RequestDescriptor) *wireScratch {
+	ws := wireScratchPool.Get().(*wireScratch)
+	b := &ws.dec
+	for _, d := range descs {
 		e := opByID(OpID(d.Op))
-		b := transport.NewReader(d.Arg)
+		b.Reset(d.Arg)
 		req := getRequest()
 		*req = rmiRequest{
 			src:    hdr.Src,
@@ -425,22 +459,23 @@ func (t *wireTransport) decodeBatch(hdr transport.BatchHeader, descs []transport
 		if t.m.cfg.RemoteDelay != nil {
 			req.delay = t.m.cfg.RemoteDelay(hdr.Src, hdr.Dst)
 		}
-		held[i] = req
+		ws.reqs = append(ws.reqs, req)
 	}
-	return held
+	return ws
 }
 
 // claimBatch matches a rendezvous frame back to the batch waiting in the
 // sender-side table and checks the descriptors against it.
-func (t *wireTransport) claimBatch(hdr transport.BatchHeader, descs []transport.RequestDescriptor) []*rmiRequest {
+func (t *wireTransport) claimBatch(hdr transport.BatchHeader, descs []transport.RequestDescriptor) *wireScratch {
 	key := wireKey{hdr.Src, hdr.Dst, hdr.Seq}
 	t.pendMu.Lock()
-	held, ok := t.pending[key]
+	ws, ok := t.pending[key]
 	delete(t.pending, key)
 	t.pendMu.Unlock()
 	if !ok {
 		panic(fmt.Sprintf("runtime: no rendezvous batch for frame %d->%d seq %d (duplicate delivery?)", hdr.Src, hdr.Dst, hdr.Seq))
 	}
+	held := ws.reqs
 	if len(descs) != len(held) {
 		panic(fmt.Sprintf("runtime: frame %d->%d seq %d carries %d descriptors for a batch of %d requests", hdr.Src, hdr.Dst, hdr.Seq, len(descs), len(held)))
 	}
@@ -449,7 +484,7 @@ func (t *wireTransport) claimBatch(hdr transport.BatchHeader, descs []transport.
 			panic(fmt.Sprintf("runtime: frame %d->%d seq %d descriptor %d does not match its request", hdr.Src, hdr.Dst, hdr.Seq, i))
 		}
 	}
-	return held
+	return ws
 }
 
 func (t *wireTransport) Flush(int) {}

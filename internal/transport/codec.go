@@ -4,7 +4,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 
@@ -17,6 +19,11 @@ import (
 // methods.  Read errors (underflow, oversized blobs) are sticky: the first
 // failure records Err and every later Get returns a zero value, so decoders
 // can check once at the end instead of after every field.
+//
+// A writer that knows how much it is about to append reserves it with Grow
+// and then pays no reallocation.  A reader copies exactly where it hands out a
+// value (Blob, Str); the frame decoders of this package take the opaque parts
+// of a frame as views of the received bytes.
 type Buffer struct {
 	buf []byte
 	off int
@@ -30,8 +37,13 @@ func NewBuffer() *Buffer { return &Buffer{} }
 // data; the caller must not mutate it while decoding.
 func NewReader(data []byte) *Buffer { return &Buffer{buf: data} }
 
-// Reset re-arms the buffer to decode data from the start.
+// Reset re-arms the buffer to decode data from the start.  Reset(b.Bytes()[:0])
+// empties an encoding buffer and keeps its storage.
 func (b *Buffer) Reset(data []byte) { b.buf, b.off, b.err = data, 0, nil }
+
+// Grow reserves room for n more encoded bytes, so the appends that follow do
+// not reallocate.
+func (b *Buffer) Grow(n int) { b.buf = slices.Grow(b.buf, n) }
 
 // Bytes returns the encoded bytes written so far.
 func (b *Buffer) Bytes() []byte { return b.buf }
@@ -109,14 +121,32 @@ func (b *Buffer) U64() uint64 {
 // PutUvarint appends a variable-width unsigned integer.
 func (b *Buffer) PutUvarint(v uint64) { b.buf = binary.AppendUvarint(b.buf, v) }
 
-// Uvarint decodes a variable-width unsigned integer.
+// uvarintLen is the encoded size of v as a uvarint, for writers that size a
+// frame before building it.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// varintLen is the encoded size of v as a (zig-zag) varint.
+func varintLen(v int64) int { return uvarintLen(zigzag(v)) }
+
+func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
+
+func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
+
+// Uvarint decodes a variable-width unsigned integer.  Running out of bytes
+// mid-value and a value that does not fit 64 bits (an eleventh byte, or high
+// bits in the tenth) are told apart: the first is a short frame, the second
+// can only be corruption.
 func (b *Buffer) Uvarint() uint64 {
 	if b.err != nil {
 		return 0
 	}
 	v, n := binary.Uvarint(b.buf[b.off:])
 	if n <= 0 {
-		b.fail("decode underflow: truncated uvarint")
+		if n == 0 {
+			b.fail("decode underflow: truncated varint")
+		} else {
+			b.fail("decode overflow: varint exceeds 64 bits")
+		}
 		return 0
 	}
 	b.off += n
@@ -124,20 +154,85 @@ func (b *Buffer) Uvarint() uint64 {
 }
 
 // PutVarint appends a variable-width signed integer (zig-zag).
-func (b *Buffer) PutVarint(v int64) { b.buf = binary.AppendVarint(b.buf, v) }
+func (b *Buffer) PutVarint(v int64) { b.buf = binary.AppendUvarint(b.buf, zigzag(v)) }
 
 // Varint decodes a variable-width signed integer.
-func (b *Buffer) Varint() int64 {
+func (b *Buffer) Varint() int64 { return unzigzag(b.Uvarint()) }
+
+// The column forms below encode a run of values with one reservation and one
+// loop, and decode len(dst) values straight into dst.  A decode fails exactly
+// like that many scalar calls would; dst keeps what it held from the failing
+// element on.
+
+func putUvarints[T ~uint64](b *Buffer, vs []T) {
+	b.Grow(len(vs) * binary.MaxVarintLen64)
+	buf, n := b.buf[:cap(b.buf)], len(b.buf)
+	for _, v := range vs {
+		n += binary.PutUvarint(buf[n:], uint64(v))
+	}
+	b.buf = buf[:n]
+}
+
+func putVarints[T ~int | ~int64](b *Buffer, vs []T) {
+	b.Grow(len(vs) * binary.MaxVarintLen64)
+	buf, n := b.buf[:cap(b.buf)], len(b.buf)
+	for _, v := range vs {
+		n += binary.PutUvarint(buf[n:], zigzag(int64(v)))
+	}
+	b.buf = buf[:n]
+}
+
+func uvarints[T ~uint64](b *Buffer, dst []T) {
 	if b.err != nil {
-		return 0
+		return
 	}
-	v, n := binary.Varint(b.buf[b.off:])
-	if n <= 0 {
-		b.fail("decode underflow: truncated varint")
-		return 0
+	buf, off := b.buf, b.off
+	for i := range dst {
+		v, n := binary.Uvarint(buf[off:])
+		if n <= 0 {
+			b.off = off
+			b.Uvarint() // reads the same bytes again and records which failure it is
+			return
+		}
+		off += n
+		dst[i] = T(v)
 	}
-	b.off += n
-	return v
+	b.off = off
+}
+
+func varints[T ~int | ~int64](b *Buffer, dst []T) {
+	if b.err != nil {
+		return
+	}
+	buf, off := b.buf, b.off
+	for i := range dst {
+		v, n := binary.Uvarint(buf[off:])
+		if n <= 0 {
+			b.off = off
+			b.Uvarint()
+			return
+		}
+		off += n
+		dst[i] = T(unzigzag(v))
+	}
+	b.off = off
+}
+
+func putF64s(b *Buffer, vs []float64) {
+	b.Grow(8 * len(vs))
+	n := len(b.buf)
+	b.buf = b.buf[:n+8*len(vs)]
+	for i, v := range vs {
+		binary.BigEndian.PutUint64(b.buf[n+8*i:], math.Float64bits(v))
+	}
+}
+
+func f64s(b *Buffer, dst []float64) {
+	if p := b.take(8 * len(dst)); p != nil {
+		for i := range dst {
+			dst[i] = math.Float64frombits(binary.BigEndian.Uint64(p[8*i:]))
+		}
+	}
 }
 
 // PutF64 appends a float64 as its IEEE-754 bits.
@@ -164,20 +259,28 @@ func (b *Buffer) PutBlob(v []byte) {
 	b.buf = append(b.buf, v...)
 }
 
-// Blob decodes a length-prefixed byte slice.  The result is a copy, so it
-// stays valid after the underlying frame buffer is recycled.
-func (b *Buffer) Blob() []byte {
+// view decodes a length-prefixed byte slice WITHOUT copying it: the result
+// aliases the bytes being decoded (its capacity is clipped, so appending to it
+// reallocates instead of running into what follows).  That is only sound over
+// bytes nobody will write again — a received frame (see Wire) — and it is what
+// frame decoders return for the opaque parts of a frame.  Decoders of values
+// (Blob, Str, and every Codec built on them) copy.
+func (b *Buffer) view() []byte {
 	n := b.Uvarint()
 	if n > uint64(b.Remaining()) {
 		b.fail("decode underflow: blob of %d bytes, have %d", n, b.Remaining())
 		return nil
 	}
-	p := b.take(int(n))
-	if p == nil {
+	if n == 0 {
 		return nil
 	}
-	return append([]byte(nil), p...)
+	p := b.take(int(n))
+	return p[:len(p):len(p)]
 }
+
+// Blob decodes a length-prefixed byte slice.  The result is a copy: a decoded
+// value never aliases the frame it arrived in.
+func (b *Buffer) Blob() []byte { return append([]byte(nil), b.view()...) }
 
 // PutString appends a length-prefixed string.
 func (b *Buffer) PutString(v string) {
@@ -188,7 +291,7 @@ func (b *Buffer) PutString(v string) {
 // Str decodes a length-prefixed string.  (Deliberately not named String: a
 // String() string method would make Buffer an fmt.Stringer whose formatting
 // mutates the decode cursor.)
-func (b *Buffer) Str() string { return string(b.Blob()) }
+func (b *Buffer) Str() string { return string(b.view()) }
 
 // Codec is a generics-instantiated encoder/decoder pair for one value type.
 // Container element types register a Codec once (Register); the instantiated
@@ -201,6 +304,37 @@ type Codec[T any] struct {
 	Encode func(b *Buffer, v T)
 	// Decode reads one value off the buffer.
 	Decode func(b *Buffer) T
+	// encodeAll and decodeAll are the column form of the built-in numeric
+	// codecs: a whole run in one tight loop (see EncodeSlice).
+	encodeAll func(b *Buffer, vs []T)
+	decodeAll func(b *Buffer, dst []T)
+}
+
+// EncodeSlice appends the wire forms of vs back to back, with no count: what
+// len(vs) Encode calls append, but the built-in integer and float codecs do it
+// in one loop with one reservation.  Records with several per-element fields
+// marshal each as such a column.
+func (c Codec[T]) EncodeSlice(b *Buffer, vs []T) {
+	if c.encodeAll != nil {
+		c.encodeAll(b, vs)
+		return
+	}
+	for i := range vs {
+		c.Encode(b, vs[i])
+	}
+}
+
+// DecodeSlice decodes len(dst) values into dst, the inverse of EncodeSlice.
+// The caller sizes dst from a count it has checked against Remaining, so a
+// corrupt count is a decode error and not an allocation.
+func (c Codec[T]) DecodeSlice(b *Buffer, dst []T) {
+	if c.decodeAll != nil {
+		c.decodeAll(b, dst)
+		return
+	}
+	for i := range dst {
+		dst[i] = c.Decode(b)
+	}
 }
 
 // RoundTrip encodes v, decodes it, re-encodes the decoded value and reports
@@ -229,27 +363,31 @@ func (c Codec[T]) RoundTrip(v T) (first, second []byte, err error) {
 var (
 	// Int64Codec encodes int64 elements (pArray/pVector/pMatrix benches).
 	Int64Codec = Codec[int64]{
-		Name:   "int64",
-		Encode: func(b *Buffer, v int64) { b.PutVarint(v) },
-		Decode: func(b *Buffer) int64 { return b.Varint() },
+		Name:      "int64",
+		Encode:    func(b *Buffer, v int64) { b.PutVarint(v) },
+		Decode:    func(b *Buffer) int64 { return b.Varint() },
+		encodeAll: putVarints[int64], decodeAll: varints[int64],
 	}
 	// IntCodec encodes int elements.
 	IntCodec = Codec[int]{
-		Name:   "int",
-		Encode: func(b *Buffer, v int) { b.PutVarint(int64(v)) },
-		Decode: func(b *Buffer) int { return int(b.Varint()) },
+		Name:      "int",
+		Encode:    func(b *Buffer, v int) { b.PutVarint(int64(v)) },
+		Decode:    func(b *Buffer) int { return int(b.Varint()) },
+		encodeAll: putVarints[int], decodeAll: varints[int],
 	}
 	// Uint64Codec encodes uint64 elements (graph vertex descriptors).
 	Uint64Codec = Codec[uint64]{
-		Name:   "uint64",
-		Encode: func(b *Buffer, v uint64) { b.PutUvarint(v) },
-		Decode: func(b *Buffer) uint64 { return b.Uvarint() },
+		Name:      "uint64",
+		Encode:    func(b *Buffer, v uint64) { b.PutUvarint(v) },
+		Decode:    func(b *Buffer) uint64 { return b.Uvarint() },
+		encodeAll: putUvarints[uint64], decodeAll: uvarints[uint64],
 	}
 	// Float64Codec encodes float64 elements (pagerank, jacobi).
 	Float64Codec = Codec[float64]{
-		Name:   "float64",
-		Encode: func(b *Buffer, v float64) { b.PutF64(v) },
-		Decode: func(b *Buffer) float64 { return b.F64() },
+		Name:      "float64",
+		Encode:    func(b *Buffer, v float64) { b.PutF64(v) },
+		Decode:    func(b *Buffer) float64 { return b.F64() },
+		encodeAll: putF64s, decodeAll: f64s,
 	}
 	// BoolCodec encodes booleans.
 	BoolCodec = Codec[bool]{
@@ -288,9 +426,7 @@ func SliceCodec[T any](elem Codec[T]) Codec[[]T] {
 		Name: elem.Name + "-slice",
 		Encode: func(b *Buffer, v []T) {
 			b.PutUvarint(uint64(len(v)))
-			for _, x := range v {
-				elem.Encode(b, x)
-			}
+			elem.EncodeSlice(b, v)
 		},
 		Decode: func(b *Buffer) []T {
 			n := b.Uvarint()
@@ -301,9 +437,7 @@ func SliceCodec[T any](elem Codec[T]) Codec[[]T] {
 				return nil
 			}
 			out := make([]T, n)
-			for i := range out {
-				out[i] = elem.Decode(b)
-			}
+			elem.DecodeSlice(b, out)
 			return out
 		},
 	}

@@ -2,7 +2,11 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -236,4 +240,121 @@ func FuzzBytesCodec(f *testing.F) {
 			t.Fatalf("round trip of %d bytes: err=%v", len(v), err)
 		}
 	})
+}
+
+// TestVarintFailuresToldApart pins the two ways a varint can be bad, for the
+// scalar decoders and for the column decoders alike: running out of bytes
+// mid-value is an underflow, a value that does not fit 64 bits is an overflow.
+// Every strict prefix of the longest valid encoding is probed, not a sample.
+func TestVarintFailuresToldApart(t *testing.T) {
+	maxU := binary.AppendUvarint(nil, math.MaxUint64) // ten bytes, the last one 0x01
+	if len(maxU) != binary.MaxVarintLen64 {
+		t.Fatalf("max uvarint encodes to %d bytes", len(maxU))
+	}
+	type probe struct {
+		name string
+		in   []byte
+		want string // "" means it decodes
+	}
+	probes := []probe{
+		{"empty", nil, "underflow"},
+		{"ten-byte maximum", maxU, ""},
+		{"eleven bytes", append(bytes.Repeat([]byte{0x80}, 10), 0x01), "overflow"},
+		{"tenth byte too big", append(bytes.Repeat([]byte{0xFF}, 9), 0x02), "overflow"},
+	}
+	for k := 1; k < len(maxU); k++ {
+		probes = append(probes, probe{fmt.Sprintf("truncated at byte %d", k), maxU[:k], "underflow"})
+	}
+	decoders := map[string]func(b *Buffer){
+		"Uvarint":       func(b *Buffer) { b.Uvarint() },
+		"Varint":        func(b *Buffer) { b.Varint() },
+		"uint64 column": func(b *Buffer) { Uint64Codec.DecodeSlice(b, make([]uint64, 1)) },
+		"int64 column":  func(b *Buffer) { Int64Codec.DecodeSlice(b, make([]int64, 1)) },
+		"int column":    func(b *Buffer) { IntCodec.DecodeSlice(b, make([]int, 1)) },
+		// The failing value is the third of the column: two good ones first.
+		"int64 column, third value": func(b *Buffer) {
+			in := append([]byte{0x02, 0x04}, b.Bytes()...)
+			b.Reset(in)
+			dst := []int64{-7, -7, -7}
+			Int64Codec.DecodeSlice(b, dst)
+			if dst[0] != 1 || dst[1] != 2 {
+				t.Errorf("values before the failing one decoded to %v", dst[:2])
+			}
+		},
+	}
+	for name, decode := range decoders {
+		for _, p := range probes {
+			b := NewReader(p.in)
+			decode(b)
+			switch err := b.Err(); {
+			case p.want == "" && (err != nil || b.Remaining() != 0):
+				t.Errorf("%s, %s: err=%v remaining=%d, want a clean decode", name, p.name, err, b.Remaining())
+			case p.want != "" && (err == nil || !strings.Contains(err.Error(), p.want)):
+				t.Errorf("%s, %s: err=%v, want an %s", name, p.name, err, p.want)
+			}
+		}
+	}
+}
+
+// TestColumnFormMatchesScalarForm pins the slice form of every built-in codec
+// to its per-element definition: same bytes out, same values back, for the
+// tight-loop codecs and for the per-element default alike.
+func TestColumnFormMatchesScalarForm(t *testing.T) {
+	for _, n := range []int{0, 1, 1024} {
+		r := rand.New(rand.NewSource(int64(n)))
+		ints, uints, floats, strs := make([]int64, n), make([]uint64, n), make([]float64, n), make([]string, n)
+		for i := range ints {
+			ints[i] = r.Int63()>>uint(r.Intn(64)) - r.Int63()>>uint(r.Intn(64))
+			uints[i] = r.Uint64() >> uint(r.Intn(64))
+			floats[i] = r.NormFloat64()
+			strs[i] = strings.Repeat("x", r.Intn(5))
+		}
+		column, scalar := NewBuffer(), NewBuffer()
+		Int64Codec.EncodeSlice(column, ints)
+		Uint64Codec.EncodeSlice(column, uints)
+		Float64Codec.EncodeSlice(column, floats)
+		StringCodec.EncodeSlice(column, strs)
+		for _, v := range ints {
+			Int64Codec.Encode(scalar, v)
+		}
+		for _, v := range uints {
+			Uint64Codec.Encode(scalar, v)
+		}
+		for _, v := range floats {
+			Float64Codec.Encode(scalar, v)
+		}
+		for _, v := range strs {
+			StringCodec.Encode(scalar, v)
+		}
+		if !bytes.Equal(column.Bytes(), scalar.Bytes()) {
+			t.Errorf("%d values: the columns encode to %x, element by element to %x", n, column.Bytes(), scalar.Bytes())
+		}
+		gi, gu, gf, gs := make([]int64, n), make([]uint64, n), make([]float64, n), make([]string, n)
+		dec := NewReader(column.Bytes())
+		Int64Codec.DecodeSlice(dec, gi)
+		Uint64Codec.DecodeSlice(dec, gu)
+		Float64Codec.DecodeSlice(dec, gf)
+		StringCodec.DecodeSlice(dec, gs)
+		if dec.Err() != nil || dec.Remaining() != 0 ||
+			!slices.Equal(gi, ints) || !slices.Equal(gu, uints) || !slices.Equal(gf, floats) || !slices.Equal(gs, strs) {
+			t.Errorf("%d values: the columns did not decode to what was encoded (err=%v, %d bytes left)", n, dec.Err(), dec.Remaining())
+		}
+	}
+}
+
+// TestVarintLenMatchesEncoding probes the sizing helpers at every boundary a
+// varint grows a byte at: frames are allocated from these sums.
+func TestVarintLenMatchesEncoding(t *testing.T) {
+	for shift := 0; shift < 64; shift++ {
+		for _, u := range []uint64{1<<shift - 1, 1 << shift, 1<<shift + 1, math.MaxUint64} {
+			if got, want := uvarintLen(u), len(binary.AppendUvarint(nil, u)); got != want {
+				t.Errorf("uvarintLen(%d) = %d, encodes to %d bytes", u, got, want)
+			}
+			for _, v := range []int64{int64(u), -int64(u)} {
+				if got, want := varintLen(v), len(binary.AppendVarint(nil, v)); got != want {
+					t.Errorf("varintLen(%d) = %d, encodes to %d bytes", v, got, want)
+				}
+			}
+		}
+	}
 }

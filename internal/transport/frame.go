@@ -95,18 +95,31 @@ func padLen(payloadBytes int) int {
 // its encoded argument when the operation is registered), payload padding.
 // The frame is padded with padLen(PayloadBytes − Σ len(Arg)) zero bytes —
 // the simulated volume not already carried as real argument bytes — so the
-// wire sees the accounted traffic in either mode.  The result is a fresh
-// slice owned by the caller.
+// wire sees the accounted traffic in either mode.  The frame is sized first and
+// allocated once; the result is a fresh slice owned by the caller, and the
+// descriptors' Arg bytes have been copied into it.
 func EncodeBatch(hdr BatchHeader, reqs []RequestDescriptor) []byte {
-	b := NewBuffer()
+	size := 1 + uvarintLen(uint64(hdr.Src)) + uvarintLen(uint64(hdr.Dst)) + uvarintLen(hdr.Seq) +
+		uvarintLen(uint64(hdr.PayloadBytes)) + uvarintLen(uint64(len(reqs)))
+	argBytes := 0
+	for i := range reqs {
+		r := &reqs[i]
+		size += varintLen(int64(r.Handle)) + 1 + uvarintLen(uint64(r.Bytes)) + uvarintLen(r.Op)
+		if r.Op != 0 {
+			size += uvarintLen(r.Token) + uvarintLen(uint64(len(r.Arg))) + len(r.Arg)
+			argBytes += len(r.Arg)
+		}
+	}
+	pad := padLen(hdr.PayloadBytes - argBytes)
+	b := Buffer{buf: make([]byte, 0, size+pad)}
 	b.PutU8(FrameData)
 	b.PutUvarint(uint64(hdr.Src))
 	b.PutUvarint(uint64(hdr.Dst))
 	b.PutUvarint(hdr.Seq)
 	b.PutUvarint(uint64(hdr.PayloadBytes))
 	b.PutUvarint(uint64(len(reqs)))
-	argBytes := 0
-	for _, r := range reqs {
+	for i := range reqs {
+		r := &reqs[i]
 		b.PutVarint(int64(r.Handle))
 		b.PutU8(r.Kind)
 		b.PutUvarint(uint64(r.Bytes))
@@ -114,17 +127,18 @@ func EncodeBatch(hdr BatchHeader, reqs []RequestDescriptor) []byte {
 		if r.Op != 0 {
 			b.PutUvarint(r.Token)
 			b.PutBlob(r.Arg)
-			argBytes += len(r.Arg)
 		}
 	}
-	pad := padLen(hdr.PayloadBytes - argBytes)
-	b.buf = append(b.buf, make([]byte, pad)...)
-	return b.Bytes()
+	// The padding is the rest of the allocation, which make zeroed: reserving
+	// it was appending it.
+	return b.buf[:len(b.buf)+pad]
 }
 
-// DecodeBatch decodes a data frame produced by EncodeBatch.
+// DecodeBatch decodes a data frame produced by EncodeBatch.  The descriptors'
+// Arg fields are views into frame, not copies: they stay valid for as long as
+// the frame does, which under the Wire contract is for good.
 func DecodeBatch(frame []byte) (BatchHeader, []RequestDescriptor, error) {
-	b := NewReader(frame)
+	b := Buffer{buf: frame}
 	if kind := b.U8(); kind != FrameData {
 		return BatchHeader{}, nil, fmt.Errorf("transport: expected data frame, got kind 0x%02x", kind)
 	}
@@ -143,16 +157,11 @@ func DecodeBatch(frame []byte) (BatchHeader, []RequestDescriptor, error) {
 	reqs := make([]RequestDescriptor, n)
 	argBytes := 0
 	for i := range reqs {
-		reqs[i] = RequestDescriptor{
-			Handle: int32(b.Varint()),
-			Kind:   b.U8(),
-			Bytes:  uint32(b.Uvarint()),
-			Op:     b.Uvarint(),
-		}
-		if reqs[i].Op != 0 {
-			reqs[i].Token = b.Uvarint()
-			reqs[i].Arg = b.Blob()
-			argBytes += len(reqs[i].Arg)
+		r := &reqs[i]
+		r.Handle, r.Kind, r.Bytes, r.Op = int32(b.Varint()), b.U8(), uint32(b.Uvarint()), b.Uvarint()
+		if r.Op != 0 {
+			r.Token, r.Arg = b.Uvarint(), b.view()
+			argBytes += len(r.Arg)
 		}
 	}
 	if err := b.Err(); err != nil {

@@ -69,6 +69,11 @@ func TestBatchFrameRoundTrip(t *testing.T) {
 			if again := EncodeBatch(hdr, reqs); !bytes.Equal(frame, again) {
 				t.Fatal("re-encoded frame differs")
 			}
+			// A frame and its envelope are sized before they are built: one
+			// allocation each, nothing grown, nothing left over.
+			if envelope := encodeRelData(tc.hdr.Seq, frame); cap(frame) != len(frame) || cap(envelope) != len(envelope) {
+				t.Fatalf("frame %d of %d bytes used, envelope %d of %d: not sized exactly", len(frame), cap(frame), len(envelope), cap(envelope))
+			}
 			// The padding actually carried is capped.
 			if want := padLen(tc.hdr.PayloadBytes); want > MaxPadBytes {
 				t.Fatalf("padLen exceeded cap: %d", want)
@@ -165,4 +170,54 @@ func FuzzDecodeAck(f *testing.F) {
 			t.Fatalf("ack drifted: %d %d %d (err %v)", src2, dst2, cum2, err)
 		}
 	})
+}
+
+// TestDecodedArgumentsAreViewsAndValuesAreCopies pins both halves of decoding
+// in place.  What DecodeBatch returns for a descriptor's opaque argument is a
+// window into the frame — no copy, clipped so an append cannot run into what
+// follows.  What a value codec decodes out of that window is the receiver's
+// own: scribbling over a decoded []byte or string leaves the frame alone, and
+// (were anybody to break the Wire contract and) write the frame, the decoded
+// values would not notice.
+func TestDecodedArgumentsAreViewsAndValuesAreCopies(t *testing.T) {
+	arg := NewBuffer()
+	BytesCodec.Encode(arg, []byte("element bytes"))
+	StringCodec.Encode(arg, "element string")
+	frame := EncodeBatch(BatchHeader{Src: 0, Dst: 1, PayloadBytes: 64},
+		[]RequestDescriptor{{Handle: 1, Kind: KindAsync, Bytes: 64, Op: 9, Arg: arg.Bytes()}})
+	pristine := append([]byte(nil), frame...)
+
+	_, descs, err := DecodeBatch(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	view := descs[0].Arg
+	if !bytes.Equal(view, arg.Bytes()) {
+		t.Fatalf("decoded argument %x, want %x", view, arg.Bytes())
+	}
+	at := bytes.Index(frame, arg.Bytes())
+	if &view[0] != &frame[at] {
+		t.Fatal("the decoded argument is a copy, want a view into the frame")
+	}
+	if cap(view) != len(view) {
+		t.Fatalf("the view has %d bytes of room behind it: an append would write the frame's padding", cap(view)-len(view))
+	}
+
+	r := NewReader(view)
+	blob, str := BytesCodec.Decode(r), StringCodec.Decode(r)
+	if r.Err() != nil || string(blob) != "element bytes" || str != "element string" {
+		t.Fatalf("decoded (%q, %q, %v)", blob, str, r.Err())
+	}
+	for i := range blob {
+		blob[i] = 'X'
+	}
+	if !bytes.Equal(frame, pristine) {
+		t.Fatal("scribbling over a decoded []byte changed the frame")
+	}
+	for i := range frame {
+		frame[i] = 'Y'
+	}
+	if string(blob) != "XXXXXXXXXXXXX" || str != "element string" {
+		t.Fatalf("overwriting the frame changed decoded values: %q, %q", blob, str)
+	}
 }

@@ -2,7 +2,7 @@ package transport
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -41,9 +41,14 @@ type Reliable struct {
 }
 
 type relSend struct {
-	mu      sync.Mutex
-	next    uint64
-	unacked map[uint64][]byte // outer frame bytes by sequence number
+	mu   sync.Mutex
+	next uint64
+	// The retransmit window: sequences are dense per pair, so the outer frames
+	// of [base, next) sit in sequence order in window[head:].  A cumulative ack
+	// pops a prefix and a resend round walks what is left.
+	base   uint64
+	window [][]byte
+	head   int
 	// resending/resendAgain coalesce reconnect signals into sequential
 	// resend rounds: a signal arriving while a round is in flight marks the
 	// pair dirty instead of starting a concurrent round.  Without this,
@@ -101,10 +106,7 @@ func (r *Reliable) Send(src, dst int, frame []byte) {
 	seq := s.next
 	s.next++
 	outer := encodeRelData(seq, frame)
-	if s.unacked == nil {
-		s.unacked = make(map[uint64][]byte)
-	}
-	s.unacked[seq] = outer
+	s.window = append(s.window, outer)
 	s.mu.Unlock()
 	r.dataFrames.Add(1)
 	r.inner.Send(src, dst, outer)
@@ -174,12 +176,34 @@ func (r *Reliable) onAck(frame []byte) {
 	}
 	s := &r.send[r.pair(src, dst)]
 	s.mu.Lock()
-	for seq := range s.unacked {
-		if seq <= cum {
-			delete(s.unacked, seq)
-		}
-	}
+	s.release(cum)
 	s.mu.Unlock()
+}
+
+// unacked returns the pair's unacknowledged outer frames in sequence order (a
+// view of the window; the caller holds mu).
+func (s *relSend) unacked() [][]byte { return s.window[s.head:] }
+
+// release drops every frame with sequence <= cum from the window.  A duplicate
+// or stale ack (cum below the window) releases nothing.  The caller holds mu.
+func (s *relSend) release(cum uint64) {
+	if cum < s.base {
+		return
+	}
+	pop := len(s.unacked())
+	if n := cum - s.base + 1; n < uint64(pop) {
+		pop = int(n)
+	}
+	clear(s.window[s.head : s.head+pop]) // an acknowledged frame is garbage to the sender
+	s.base += uint64(pop)
+	s.head += pop
+	// Reuse the storage: at once when the window emptied (the steady state),
+	// by sliding the rest down when more than half of it is dead.
+	if s.head > len(s.window)/2 {
+		n := copy(s.window, s.unacked())
+		clear(s.window[n:])
+		s.window, s.head = s.window[:n], 0
+	}
 }
 
 // resendSettle is the pause before each resend round, giving in-flight
@@ -205,15 +229,7 @@ func (r *Reliable) resendUnacked(src, dst int) {
 	for {
 		time.Sleep(resendSettle)
 		s.mu.Lock()
-		seqs := make([]uint64, 0, len(s.unacked))
-		for seq := range s.unacked {
-			seqs = append(seqs, seq)
-		}
-		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-		frames := make([][]byte, 0, len(seqs))
-		for _, seq := range seqs {
-			frames = append(frames, s.unacked[seq])
-		}
+		frames := slices.Clone(s.unacked())
 		s.mu.Unlock()
 		r.retransmits.Add(int64(len(frames)))
 		for _, f := range frames {
@@ -266,7 +282,7 @@ func (r *Reliable) allAcked() bool {
 	for i := range r.send {
 		s := &r.send[i]
 		s.mu.Lock()
-		n := len(s.unacked)
+		n := len(s.unacked())
 		s.mu.Unlock()
 		if n != 0 {
 			return false
@@ -280,13 +296,8 @@ func (r *Reliable) describeUnacked() string {
 	for i := range r.send {
 		s := &r.send[i]
 		s.mu.Lock()
-		if len(s.unacked) > 0 {
-			seqs := make([]uint64, 0, len(s.unacked))
-			for seq := range s.unacked {
-				seqs = append(seqs, seq)
-			}
-			sort.Slice(seqs, func(a, b int) bool { return seqs[a] < seqs[b] })
-			out += fmt.Sprintf(" pair %d->%d: %d unacked (seq %d..%d);", i/r.n, i%r.n, len(seqs), seqs[0], seqs[len(seqs)-1])
+		if n := uint64(len(s.unacked())); n > 0 {
+			out += fmt.Sprintf(" pair %d->%d: %d unacked (seq %d..%d);", i/r.n, i%r.n, n, s.base, s.base+n-1)
 		}
 		s.mu.Unlock()
 	}
@@ -315,23 +326,25 @@ func (r *Reliable) WireStats() WireStats {
 	return s
 }
 
-// encodeRelData wraps an inner frame with the reliable envelope.
+// encodeRelData wraps an inner frame with the reliable envelope: one
+// allocation of the envelope's exact size, one copy of the frame.
 func encodeRelData(seq uint64, inner []byte) []byte {
-	b := NewBuffer()
+	b := Buffer{buf: make([]byte, 0, 1+uvarintLen(seq)+uvarintLen(uint64(len(inner)))+len(inner))}
 	b.PutU8(FrameData)
 	b.PutUvarint(seq)
 	b.PutBlob(inner)
-	return b.Bytes()
+	return b.buf
 }
 
-// decodeRelData strips the reliable envelope.
+// decodeRelData strips the reliable envelope.  The inner frame is a view into
+// the envelope, not a copy.
 func decodeRelData(frame []byte) (seq uint64, inner []byte, err error) {
-	b := NewReader(frame)
+	b := Buffer{buf: frame}
 	if kind := b.U8(); kind != FrameData {
 		return 0, nil, fmt.Errorf("expected data envelope, got kind 0x%02x", kind)
 	}
 	seq = b.Uvarint()
-	inner = b.Blob()
+	inner = b.view()
 	if err := b.Err(); err != nil {
 		return 0, nil, err
 	}

@@ -6,12 +6,18 @@ import "time"
 // dst are the endpoints named by the matching Send.  Implementations of Wire
 // may invoke it from arbitrary goroutines; per-pair ordering is only
 // guaranteed by the Reliable wrapper, never by a raw Wire.
+//
+// The frame obeys the ownership contract of Wire.Send: it will never be
+// written again, by anybody, so the receiver may keep it and may decode it in
+// place — DecodeBatch and the reliable envelope hand out views into it — for
+// as long as it likes.  The receiver must not write it either: over an
+// in-process wire it is the very slice the sender passed to Send.
 type DeliverFunc func(src, dst int, frame []byte)
 
 // Wire is a best-effort frame pipe between n integer-numbered endpoints.
 //
-//	Send    — queue one frame for delivery from src to dst (takes ownership
-//	          of the frame slice; never blocks on the receiver)
+//	Send    — queue one frame for delivery from src to dst (never blocks on
+//	          the receiver)
 //	Drain   — block until every queued frame has left the sender (flushed
 //	          to the socket / handed to the deliver callback)
 //	Close   — release sockets, queues and goroutines; Send afterwards is a
@@ -20,6 +26,16 @@ type DeliverFunc func(src, dst int, frame []byte)
 // A raw Wire makes NO ordering, uniqueness or delivery guarantee: the chaos
 // wrapper deliberately delays, duplicates and drops frames.  Layer Reliable
 // on top to restore per-pair FIFO exactly-once delivery.
+//
+// Ownership.  A frame is IMMUTABLE from the moment it is passed to Send:
+// neither the caller nor any layer below may write its bytes again, and nobody
+// recycles it — a frame's storage is the garbage collector's alone.  Every
+// layer leans on that: the caller may pass one slice to Send many times; a
+// wire may hold a frame for as long as it likes (Reliable keeps it for
+// retransmission, Chaos to duplicate and delay it, TCP in its write queue) and
+// may deliver the same slice more than once; a receiver may alias it forever
+// (see DeliverFunc) and may pass a delivered frame on to Send.  So pool what
+// never leaves a call — encode scratch, descriptor slices — never a frame.
 type Wire interface {
 	// Start installs the deliver callback and brings up the receive side.
 	// It must be called exactly once, before the first Send.

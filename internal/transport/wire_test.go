@@ -1,7 +1,9 @@
 package transport
 
 import (
+	"bytes"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -292,5 +294,139 @@ func TestReliableRejectsCorruptFrames(t *testing.T) {
 			}()
 			w.Send(0, 1, frame)
 		}()
+	}
+}
+
+// scriptedWire is a Wire the test plays the part of: it keeps what the layer
+// above sends and hands it whatever the test says arrived.
+type scriptedWire struct {
+	deliver   DeliverFunc
+	reconnect func(src, dst int)
+	sent      [][]byte
+}
+
+func (w *scriptedWire) Start(deliver DeliverFunc) error   { w.deliver = deliver; return nil }
+func (w *scriptedWire) Send(_, _ int, frame []byte)       { w.sent = append(w.sent, frame) }
+func (w *scriptedWire) Drain()                            {}
+func (w *scriptedWire) Close() error                      { return nil }
+func (w *scriptedWire) Name() string                      { return "scripted" }
+func (w *scriptedWire) OnReconnect(fn func(src, dst int)) { w.reconnect = fn }
+
+// TestReliableWindowAcksAndResends pins the sender's retransmit window: a
+// cumulative ack releases a prefix, duplicate and stale acks release nothing, a
+// resend round re-sends exactly what is left, in sequence order and byte for
+// byte, and the drain diagnostic names the window's bounds.
+func TestReliableWindowAcksAndResends(t *testing.T) {
+	w := &scriptedWire{}
+	r := NewReliable(w, 2)
+	if err := r.Start(func(int, int, []byte) {}); err != nil {
+		t.Fatal(err)
+	}
+	for seq := 0; seq < 5; seq++ {
+		r.Send(0, 1, testFrame(seq))
+	}
+	first := append([][]byte(nil), w.sent...)
+	window := func(want string) {
+		t.Helper()
+		if got := r.describeUnacked(); got != want {
+			t.Fatalf("unacked =%q, want %q", got, want)
+		}
+	}
+	ack := func(cum uint64) { w.deliver(1, 0, EncodeAck(0, 1, cum)) }
+
+	window(" pair 0->1: 5 unacked (seq 0..4);")
+	ack(1)
+	window(" pair 0->1: 3 unacked (seq 2..4);")
+	ack(1) // duplicate
+	ack(0) // stale
+	window(" pair 0->1: 3 unacked (seq 2..4);")
+
+	w.sent = nil
+	w.reconnect(0, 1)
+	if len(w.sent) != 3 {
+		t.Fatalf("resend round sent %d frames, want the 3 unacked ones", len(w.sent))
+	}
+	for i, f := range w.sent {
+		if !bytes.Equal(f, first[2+i]) {
+			t.Fatalf("resent frame %d is %x, want envelope seq %d %x", i, f, 2+i, first[2+i])
+		}
+	}
+	if got := r.WireStats().Retransmits; got != 3 {
+		t.Fatalf("Retransmits = %d, want 3", got)
+	}
+	if err := r.DrainErr(time.Millisecond); err == nil || !strings.Contains(err.Error(), "pair 0->1: 3 unacked (seq 2..4);") {
+		t.Fatalf("drain of an unacknowledged window: %v", err)
+	}
+
+	r.Send(0, 1, testFrame(5)) // the window keeps growing behind a released prefix
+	ack(3)
+	window(" pair 0->1: 2 unacked (seq 4..5);")
+	ack(99) // beyond anything sent: releases what there is, no more
+	window(" (no unacked frames)")
+	if err := r.DrainErr(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	r.Send(0, 1, testFrame(6))
+	window(" pair 0->1: 1 unacked (seq 6..6);")
+}
+
+// TestFramesAreNeverWrittenAfterSend pins the ownership contract of Wire.Send
+// that zero-copy decoding leans on: a frame is immutable from Send on, so one
+// slice can be sent many times, a delivered frame can be sent on from inside
+// the deliver callback, and every delivery is byte-equal to the original —
+// over the in-process wire, over sockets, and with chaos holding frames back
+// to duplicate and delay them.
+func TestFramesAreNeverWrittenAfterSend(t *testing.T) {
+	stacks := map[string]func() Wire{
+		"reliable+inproc": func() Wire { return NewInproc(2) },
+		"reliable+tcp":    func() Wire { return NewTCP(2) },
+		"reliable+chaos": func() Wire {
+			cfg := DefaultChaosConfig()
+			cfg.DelayEvery, cfg.DuplicateEvery, cfg.DropEvery = 2, 3, 5
+			return NewChaos(NewInproc(2), cfg)
+		},
+	}
+	for name, inner := range stacks {
+		t.Run(name, func(t *testing.T) {
+			// A batch frame with an argument and padding, as the adapter builds them.
+			original := EncodeBatch(BatchHeader{Src: 0, Dst: 1, Seq: 3, PayloadBytes: 40},
+				[]RequestDescriptor{{Handle: 2, Kind: KindAsync, Bytes: 40, Op: 77, Arg: []byte("argument bytes")}})
+			frame := append([]byte(nil), original...)
+			const sends = 3
+			var mu sync.Mutex
+			arrived := map[int]int{}
+			r := NewReliable(inner(), 2)
+			check := func(src, dst int, got []byte) {
+				mu.Lock()
+				defer mu.Unlock()
+				arrived[dst]++
+				if !bytes.Equal(got, original) {
+					t.Errorf("delivery %d->%d is %x, want the frame as it was sent %x", src, dst, got, original)
+				}
+			}
+			if err := r.Start(func(src, dst int, got []byte) {
+				check(src, dst, got)
+				if dst == 1 {
+					r.Send(1, 0, got) // a delivered frame is as good as a fresh one
+				}
+			}); err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			for i := 0; i < sends; i++ {
+				r.Send(0, 1, frame)
+			}
+			// An echo is sent before the frame it answers is acknowledged, so
+			// one drain covers both directions.
+			r.Drain()
+			mu.Lock()
+			defer mu.Unlock()
+			if arrived[1] != sends || arrived[0] != sends {
+				t.Fatalf("deliveries: %d forward, %d echoed, want %d each", arrived[1], arrived[0], sends)
+			}
+			if !bytes.Equal(frame, original) {
+				t.Fatalf("the sender's slice was written to: %x, was %x", frame, original)
+			}
+		})
 	}
 }

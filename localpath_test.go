@@ -1,6 +1,8 @@
 package repro
 
 import (
+	goruntime "runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/containers/parray"
@@ -148,3 +150,115 @@ func BenchmarkLocalElementMethods(b *testing.B) { benchElementMethods(b, false) 
 // BenchmarkRemoteElementMethods shows each family's remote allocs/op in the
 // bench-time log (a blocking read and an asynchronous write per iteration).
 func BenchmarkRemoteElementMethods(b *testing.B) { benchElementMethods(b, true) }
+
+// onWire runs body on location 0 of a two-location machine whose batches cross
+// the wire protocol stack built by factory.  The array holds 2n elements, so
+// indices n..2n-1 are location 1's.
+func onWire(factory runtime.TransportFactory, n int64, body func(loc *runtime.Location, arr *parray.Array[int64])) {
+	cfg := runtime.DefaultConfig()
+	cfg.Transport = factory
+	runtime.NewMachine(2, cfg).Execute(func(loc *runtime.Location) {
+		arr := parray.New[int64](loc, 2*n)
+		loc.Fence()
+		if loc.ID() == 0 {
+			body(loc, arr)
+		}
+		loc.Fence()
+	})
+}
+
+// remoteRun returns location 1's n indices and as many values.
+func remoteRun(n int64) (idxs, vals []int64) {
+	idxs, vals = make([]int64, n), make([]int64, n)
+	for i := range idxs {
+		idxs[i], vals[i] = n+int64(i), int64(i)<<20
+	}
+	return idxs, vals
+}
+
+// TestWireElementMethodAllocations pins what a by-value element method
+// allocates once its request is marshalled: a frame is sized once and decoded
+// in place, so the count does not depend on how many elements a bulk group
+// carries, and a blocking read costs a fixed handful.
+func TestWireElementMethodAllocations(t *testing.T) {
+	if raceDetector {
+		t.Skip("under the race detector sync.Pool drops a quarter of what it is handed, at random")
+	}
+	// A SetBulk+GetBulk pair is three messages (group, group, group reply), a
+	// Get is two (request, reply).  A message allocates its frame, the frame's
+	// envelope, the receiver's descriptor slice and the ack coming back: four,
+	// none of them poolable (a frame is never recycled).  On top of that the
+	// pair allocates the caller's result slice, the bulk tracker with its
+	// channel, the reply callback and four boxed index-slice headers (the bulk
+	// walk's own pool); the read its future, the future's channel and the
+	// reply callback.  Measured the same way at the parent the pair allocated
+	// 87 / 119 / 152 objects for 64 / 1024 / 8192 elements and the read 31
+	// (39 over TCP, now 19: a socket adds the received frame's buffer and
+	// the writer's queue).
+	const bulkPairAllocs, getAllocs = 20, 11
+	// A collection empties every sync.Pool and the pools' own bookkeeping, and
+	// how often one runs depends on how much a call allocates; a pool is a
+	// cache per processor, and which one a location runs on is the scheduler's
+	// choice.  With the collector off and one processor the count is the code
+	// path's.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(1))
+	for _, n := range []int64{64, 1024, 8192} {
+		onWire(runtime.WireTransport, n, func(_ *runtime.Location, arr *parray.Array[int64]) {
+			idxs, vals := remoteRun(n)
+			pair := func() {
+				arr.SetBulk(idxs, vals)
+				localSink += arr.GetBulk(idxs)[0]
+			}
+			for i := 0; i < 4; i++ {
+				pair() // the pooled slices have met a group of this size
+			}
+			// (All but the odd one: a pool hands out a fresh index slice when
+			// the two locations' walks overlap.  The average rounds that away.)
+			if got := testing.AllocsPerRun(50, pair); got > bulkPairAllocs {
+				t.Errorf("SetBulk+GetBulk of %d remote elements allocates %v objects, pinned at %d for every size", n, got, bulkPairAllocs)
+			}
+		})
+	}
+	onWire(runtime.WireTransport, 64, func(_ *runtime.Location, arr *parray.Array[int64]) {
+		if got := testing.AllocsPerRun(200, func() { localSink += arr.Get(64 + 3) }); got > getAllocs {
+			t.Errorf("a remote read over the wire allocates %v objects, pinned at %d", got, getAllocs)
+		}
+	})
+}
+
+// BenchmarkWireElementMethods shows what the marshalled path costs in the
+// bench-time log: a blocking read, a write made visible by a one-sided fence,
+// and a bulk write+read pair of 1024 elements, over the protocol stack alone
+// and over loopback sockets.
+func BenchmarkWireElementMethods(b *testing.B) {
+	const n = 1024
+	idxs, vals := remoteRun(n)
+	for _, tr := range []struct {
+		name    string
+		factory runtime.TransportFactory
+	}{{"wire", runtime.WireTransport}, {"tcp", runtime.TCPLoopbackTransport}} {
+		for _, m := range []struct {
+			name string
+			call func(arr *parray.Array[int64], loc *runtime.Location)
+		}{
+			{"get", func(arr *parray.Array[int64], _ *runtime.Location) { localSink += arr.Get(n + 3) }},
+			{"set-fence", func(arr *parray.Array[int64], loc *runtime.Location) { arr.Set(n+3, 7); loc.OneSidedFence() }},
+			{"bulk1024", func(arr *parray.Array[int64], _ *runtime.Location) {
+				arr.SetBulk(idxs, vals)
+				localSink += arr.GetBulk(idxs)[0]
+			}},
+		} {
+			b.Run(tr.name+"/"+m.name, func(b *testing.B) {
+				b.ReportAllocs()
+				onWire(tr.factory, n, func(loc *runtime.Location, arr *parray.Array[int64]) {
+					b.ResetTimer()
+					for k := 0; k < b.N; k++ {
+						m.call(arr, loc)
+					}
+					b.StopTimer()
+				})
+			})
+		}
+	}
+}
