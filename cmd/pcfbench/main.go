@@ -8,26 +8,19 @@
 //	pcfbench -experiment fig30 -locations 1,2,4,8 -elements 20000
 //	pcfbench -all
 //
-// Machine-readable output and the benchmark-regression gate:
+// Machine-readable output; the benchmark-regression gate is a byte comparison
+// of the counter rows with the checked-in file:
 //
 //	pcfbench -experiment bulk,directory,redist,views -json            # one JSON record per row
 //	pcfbench -experiment ... -json -counters > BENCH_baseline.json    # deterministic counter rows only
-//	pcfbench -experiment ... -baseline BENCH_baseline.json            # compare, exit 1 on >10% growth
-//
-// Wall-clock mode (calibrated timed repetitions; ns/op, allocs/op, B/op):
-//
-//	pcfbench -time -experiment bulk,views,matrix,directory -json > BENCH_time.json
-//	pcfbench -time -experiment ... -baseline BENCH_time.json          # exit 1 on allocs/op growth
-//	pcfbench -time -experiment bulk -cpuprofile cpu.pprof -memprofile mem.pprof
+//	pcfbench -experiment ... -json -counters | cmp - BENCH_baseline.json
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"runtime/pprof"
 	"strconv"
 	"strings"
 	"sync"
@@ -47,16 +40,12 @@ type jsonRow struct {
 }
 
 // counterUnits are the units whose values count requests, not time: they
-// are deterministic for a fixed configuration, which is what makes them
-// pinnable by the CI regression gate.  Timing rows ("ms") and timing-derived
-// ratios ("x") are excluded.
+// are deterministic for a fixed configuration, which is what lets the CI
+// regression gate compare them byte for byte.  Timing rows ("ms") and
+// timing-derived ratios ("x") are excluded.
 var counterUnits = map[string]bool{
 	"msgs": true, "rmis": true, "RMIs": true, "bytes": true, "ops": true,
 }
-
-// regressionTolerance is how much a pinned counter may grow before the
-// baseline comparison fails.
-const regressionTolerance = 0.10
 
 func main() {
 	var (
@@ -70,13 +59,6 @@ func main() {
 		chaosSeed  = flag.Int64("chaos-seed", -1, "reseed the chaos wire's fault schedule (chaos transports only; -1 keeps PCF_CHAOS_SEED / the default)")
 		jsonOut    = flag.Bool("json", false, "emit one JSON record per row instead of the report table (includes wire-level fault counters)")
 		counters   = flag.Bool("counters", false, "with -json: emit only deterministic counter rows (msgs/rmis/bytes/ops)")
-		baseline   = flag.String("baseline", "", "compare counter rows against this JSON baseline; exit 1 on >10% growth (with -time: allocs/op gate, ns advisory)")
-		timeMode   = flag.Bool("time", false, "run the timed variants: calibrated repetitions emitting ns/op, allocs/op and B/op rows instead of counters")
-		timeBudget = flag.Duration("timebudget", 0, "with -time: minimum duration of each calibrated measured section (default 50ms)")
-		adaptive   = flag.Bool("adaptive", false, "enable adaptive aggregation (EWMA-sized flush batches) in the experiment machines; changes message counts, so not for counter baselines")
-		aggMax     = flag.Int("aggmax", 0, "with -adaptive: bound on the adaptive aggregation target (0 keeps the runtime default)")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
-		memProfile = flag.String("memprofile", "", "write a heap profile taken after the selected experiments to this file")
 	)
 	flag.Parse()
 
@@ -90,9 +72,6 @@ func main() {
 	cfg := bench.DefaultConfig()
 	cfg.ElementsPerLocation = *elements
 	cfg.GraphScale = *graphScale
-	cfg.TimedMinTime = *timeBudget
-	cfg.Adaptive = *adaptive
-	cfg.AggregationMax = *aggMax
 	if *chaosSeed >= 0 {
 		// The chaos schedule is resolved from the environment when the
 		// transport factory is built, so the flag must land first.
@@ -165,20 +144,13 @@ func main() {
 		cfg.Transport = tap.factory
 	}
 
-	// In -time mode the experiment ids resolve to their timed variants: the
-	// same workloads, measured with calibrated repetitions instead of
-	// counter snapshots.
-	find, everything := bench.Find, bench.All
-	if *timeMode {
-		find, everything = bench.FindTimed, bench.TimedExperiments
-	}
 	var selected []bench.Experiment
 	switch {
 	case *all:
-		selected = everything()
+		selected = bench.All()
 	case *experiment != "":
 		for _, id := range strings.Split(*experiment, ",") {
-			e, ok := find(strings.TrimSpace(id))
+			e, ok := bench.Find(strings.TrimSpace(id))
 			if !ok {
 				fmt.Fprintf(os.Stderr, "pcfbench: unknown experiment %q (use -list)\n", id)
 				os.Exit(2)
@@ -190,59 +162,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pcfbench: %v\n", err)
-			os.Exit(2)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "pcfbench: %v\n", err)
-			os.Exit(2)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
-	}
-	if *memProfile != "" {
-		path := *memProfile
-		defer func() {
-			f, err := os.Create(path)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "pcfbench: %v\n", err)
-				return
-			}
-			defer f.Close()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "pcfbench: %v\n", err)
-			}
-		}()
-	}
-
-	if *baseline != "" {
-		base, err := loadBaseline(*baseline)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pcfbench: %v\n", err)
-			os.Exit(2)
-		}
-		pass := false
-		if *timeMode {
-			pass = compareTimeBaseline(selected, cfg, base)
-		} else {
-			pass = compareBaseline(selected, cfg, base)
-		}
-		if !pass {
-			// os.Exit skips the deferred profile flush; stop explicitly so a
-			// failing gate still leaves a usable CPU profile behind.
-			if *cpuProfile != "" {
-				pprof.StopCPUProfile()
-			}
-			os.Exit(1)
-		}
-		return
-	}
-
 	enc := json.NewEncoder(os.Stdout)
 	for _, e := range selected {
 		if !*jsonOut {
@@ -251,7 +170,7 @@ func main() {
 			fmt.Println()
 			continue
 		}
-		for _, r := range sortedRows(e.Run(cfg)) {
+		for _, r := range bench.SortRows(e.Run(cfg)) {
 			if *counters && !counterUnits[r.Unit] {
 				continue
 			}
@@ -261,11 +180,11 @@ func main() {
 			}
 		}
 	}
-	if *jsonOut && !*counters && !*timeMode && tap != nil {
+	if *jsonOut && !*counters && tap != nil {
 		// Wire-level counters are transport-DEPENDENT by design (they
 		// describe the wire, not the workload), so they carry their own
-		// "wire" unit: the -counters baseline and the regression gate ignore
-		// them, and fault-free runs keep their counter rows byte-identical.
+		// "wire" unit: -counters leaves them out, so the baseline's counter
+		// rows are byte-identical over every transport.
 		for _, r := range tap.rows() {
 			if err := enc.Encode(r); err != nil {
 				fmt.Fprintf(os.Stderr, "pcfbench: %v\n", err)
@@ -294,22 +213,7 @@ func (w *wireTap) add(name string, s transport.WireStats) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.name = name
-	w.total.FramesSent += s.FramesSent
-	w.total.FramesReceived += s.FramesReceived
-	w.total.BytesSent += s.BytesSent
-	w.total.BytesReceived += s.BytesReceived
-	w.total.Connections += s.Connections
-	w.total.DialRetries += s.DialRetries
-	w.total.DataFrames += s.DataFrames
-	w.total.Acks += s.Acks
-	w.total.Retransmits += s.Retransmits
-	w.total.DuplicatesDropped += s.DuplicatesDropped
-	w.total.OutOfOrder += s.OutOfOrder
-	w.total.RendezvousFallbacks += s.RendezvousFallbacks
-	w.total.Delayed += s.Delayed
-	w.total.Duplicated += s.Duplicated
-	w.total.Dropped += s.Dropped
-	w.total.Reconnects += s.Reconnects
+	w.total.Add(s)
 }
 
 // rows renders the accumulated wire counters as JSON rows: the protocol and
@@ -365,157 +269,4 @@ func resolveTransport(name string) (factory runtime.TransportFactory, err error)
 	}()
 	os.Setenv("PCF_TRANSPORT", name)
 	return runtime.TransportFromEnv(), nil
-}
-
-// sortedRows orders rows the way PrintRows does, so JSON output (and the
-// checked-in baseline) is stable across runs.
-func sortedRows(rows []bench.Row) []bench.Row {
-	return bench.SortRows(rows)
-}
-
-// loadBaseline reads a JSON-lines baseline produced by -json.
-func loadBaseline(path string) ([]jsonRow, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var rows []jsonRow
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		var r jsonRow
-		if err := json.Unmarshal([]byte(line), &r); err != nil {
-			return nil, fmt.Errorf("baseline %s: %w", path, err)
-		}
-		rows = append(rows, r)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if len(rows) == 0 {
-		return nil, fmt.Errorf("baseline %s holds no rows", path)
-	}
-	return rows, nil
-}
-
-// compareBaseline reruns the selected experiments and checks every counter
-// row the baseline pins for them against the fresh value.  Baseline rows of
-// experiments that were not selected are ignored, so a subset run (e.g. the
-// TCP-loopback bulk check) compares only its own counters.  It reports each
-// regression and returns false when any pinned counter grew beyond the
-// tolerance (or a pinned row disappeared).
-func compareBaseline(selected []bench.Experiment, cfg bench.Config, base []jsonRow) bool {
-	current := map[string]float64{}
-	selectedIDs := map[string]bool{}
-	for _, e := range selected {
-		selectedIDs[e.ID] = true
-		for _, r := range e.Run(cfg) {
-			current[r.Experiment+"|"+r.Series+"|"+r.Param] = r.Value
-		}
-	}
-	ok := true
-	var checked, improved int
-	for _, b := range base {
-		if !counterUnits[b.Unit] || !selectedIDs[b.Experiment] {
-			continue
-		}
-		key := b.Experiment + "|" + b.Series + "|" + b.Param
-		cur, found := current[key]
-		if !found {
-			fmt.Printf("MISSING  %-10s %-42s %-24s (baseline %.0f %s)\n", b.Experiment, b.Series, b.Param, b.Value, b.Unit)
-			ok = false
-			continue
-		}
-		checked++
-		switch {
-		case cur <= b.Value:
-			if cur < b.Value {
-				improved++
-			}
-		case b.Value == 0:
-			// Growth from a zero baseline has no meaningful percentage (the
-			// old report printed a flat "+100%" here, whether the counter
-			// grew to 1 or to 1 million); report the new traffic distinctly.
-			fmt.Printf("NEW       %-10s %-42s %-24s 0 -> %.0f %s (counter grew from a zero baseline)\n",
-				b.Experiment, b.Series, b.Param, cur, b.Unit)
-			ok = false
-		case (cur-b.Value)/b.Value > regressionTolerance:
-			fmt.Printf("REGRESSED %-10s %-42s %-24s %.0f -> %.0f %s (+%.1f%%)\n",
-				b.Experiment, b.Series, b.Param, b.Value, cur, b.Unit, growthPct(b.Value, cur))
-			ok = false
-		}
-	}
-	fmt.Printf("bench-regression: %d counters checked, %d improved, pass=%v\n", checked, improved, ok)
-	if improved > 0 {
-		fmt.Println("note: improved counters stay green; refresh BENCH_baseline.json to pin the better values")
-	}
-	return ok
-}
-
-// growthPct reports growth relative to a non-zero baseline; zero baselines
-// take the distinct NEW path in compareBaseline instead of a misleading flat
-// percentage.
-func growthPct(base, cur float64) float64 {
-	return (cur - base) / base * 100
-}
-
-// allocsSlack is the absolute allocs/op headroom on top of the relative
-// tolerance: per-section scaffolding (machine bring-up, calibration) is
-// amortised over the repetition count, which varies slightly between runs,
-// so a fraction of an allocation of jitter is expected even when the
-// workload itself is allocation-identical.
-const allocsSlack = 1.0
-
-// compareTimeBaseline reruns the selected timed experiments and checks them
-// against a BENCH_time.json baseline.  Only allocs/op rows gate (allocation
-// counts are deterministic for a fixed workload and Go version); ns/op and
-// B/op changes are reported as advisory lines — CI machines differ too much
-// in speed to fail on nanoseconds.  Rows are keyed by experiment, series,
-// param AND unit: a timed series emits one row per unit, so the counter
-// gate's three-part key would collide here.
-func compareTimeBaseline(selected []bench.Experiment, cfg bench.Config, base []jsonRow) bool {
-	current := map[string]float64{}
-	selectedIDs := map[string]bool{}
-	for _, e := range selected {
-		selectedIDs[e.ID] = true
-		for _, r := range e.Run(cfg) {
-			current[r.Experiment+"|"+r.Series+"|"+r.Param+"|"+r.Unit] = r.Value
-		}
-	}
-	ok := true
-	var gated, advisories int
-	for _, b := range base {
-		if !selectedIDs[b.Experiment] {
-			continue
-		}
-		key := b.Experiment + "|" + b.Series + "|" + b.Param + "|" + b.Unit
-		cur, found := current[key]
-		if !found {
-			fmt.Printf("MISSING  %-10s %-38s %-24s (baseline %.3f %s)\n", b.Experiment, b.Series, b.Param, b.Value, b.Unit)
-			ok = false
-			continue
-		}
-		switch b.Unit {
-		case "allocs":
-			gated++
-			if cur > b.Value*(1+regressionTolerance)+allocsSlack {
-				fmt.Printf("REGRESSED %-10s %-38s %-24s %.2f -> %.2f allocs/op\n",
-					b.Experiment, b.Series, b.Param, b.Value, cur)
-				ok = false
-			}
-		case "ns", "bytes-alloc":
-			if b.Value > 0 && (cur-b.Value)/b.Value > 0.5 {
-				fmt.Printf("ADVISORY  %-10s %-38s %-24s %.1f -> %.1f %s (+%.0f%%, not gated)\n",
-					b.Experiment, b.Series, b.Param, b.Value, cur, b.Unit, growthPct(b.Value, cur))
-				advisories++
-			}
-		}
-	}
-	fmt.Printf("bench-time: %d allocs/op rows gated, %d timing advisories, pass=%v\n", gated, advisories, ok)
-	return ok
 }

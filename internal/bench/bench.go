@@ -48,8 +48,6 @@ type Config struct {
 	ElementsPerLocation int64
 	// GraphScale is the log2 number of vertices of the SSCA2 graphs.
 	GraphScale int
-	// Verbose prints every row as it is produced.
-	Verbose bool
 	// Transport builds the interconnect every experiment machine uses.  Nil
 	// keeps the runtime default (the PCF_TRANSPORT environment variable, or
 	// in-process delivery).  Because the machine statistics are counted at
@@ -57,18 +55,6 @@ type Config struct {
 	// counter rows over every transport — the cross-transport equivalence
 	// suite in bench_transport_test.go asserts exactly that.
 	Transport runtime.TransportFactory
-	// Adaptive turns on the runtime's adaptive aggregation in every
-	// experiment machine.  It changes message counts, so counter runs that
-	// feed the byte-identical baseline must leave it off; the timed series
-	// accept it for what-if measurements.
-	Adaptive bool
-	// AggregationMax bounds the adaptive aggregation target (zero keeps the
-	// runtime default).  Only meaningful with Adaptive.
-	AggregationMax int
-	// TimedMinTime is the calibration floor of the timed series: each
-	// measured section is rerun with growing repetition counts until it
-	// lasts at least this long.  Zero means DefaultTimedMinTime.
-	TimedMinTime time.Duration
 }
 
 // DefaultConfig returns the scale used by the committed bench outputs.
@@ -77,7 +63,6 @@ func DefaultConfig() Config {
 		Locations:           []int{1, 2, 4, 8},
 		ElementsPerLocation: 20000,
 		GraphScale:          10,
-		Verbose:             false,
 	}
 }
 
@@ -181,7 +166,5 @@ func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000.0 }
 func machine(cfg Config, p int) *runtime.Machine {
 	rcfg := runtime.DefaultConfig()
 	rcfg.Transport = cfg.Transport
-	rcfg.AdaptiveAggregation = cfg.Adaptive
-	rcfg.AggregationMax = cfg.AggregationMax
 	return runtime.NewMachine(p, rcfg)
 }

@@ -3,6 +3,9 @@ package bench
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/containers/parray"
+	"repro/internal/runtime"
 )
 
 // tinyConfig keeps the smoke test of the experiment harness fast.
@@ -81,25 +84,46 @@ func TestConfigs(t *testing.T) {
 }
 
 func TestFig30ShowsLocalRemoteShape(t *testing.T) {
-	// The paper's qualitative result: asynchronous remote writes are
-	// cheaper than synchronous remote reads (they overlap), and the
-	// split-phase flavour sits in between or close to async.
-	cfg := Config{Locations: []int{4}, ElementsPerLocation: 2000, GraphScale: 6}
-	rows := Fig30ArraySyncAsyncSplit(cfg)
-	var async, sync float64
-	for _, r := range rows {
-		switch {
-		case strings.HasPrefix(r.Series, "set_element (async)"):
-			async = r.Value
-		case strings.HasPrefix(r.Series, "get_element (sync)"):
-			sync = r.Value
+	// The paper's qualitative result is that asynchronous remote writes are
+	// cheaper than synchronous remote reads.  Which of two elapsed times is
+	// the smaller depends on the host's load; the cause does not: writes to
+	// one neighbour leave in aggregated batches, every blocking read is a
+	// request and a reply of its own.
+	const p, ops = 4, 2000
+	rcfg := runtime.DefaultConfig()
+	rcfg.Transport = runtime.InprocTransport
+	m := runtime.NewMachine(p, rcfg)
+	var sets, gets runtime.Stats
+	m.Execute(func(loc *runtime.Location) {
+		a := parray.New[int64](loc, p*ops)
+		base := int64((loc.ID()+1)%p) * ops // the next location's block
+		loc.Fence()
+		section := func(delta *runtime.Stats, body func(k int64)) {
+			before := m.Stats()
+			loc.Barrier()
+			for k := int64(0); k < ops; k++ {
+				body(k)
+			}
+			loc.Fence()
+			if loc.ID() == 0 {
+				*delta = m.Stats().Sub(before)
+			}
+			loc.Barrier()
 		}
+		section(&sets, func(k int64) { a.Set(base+k, k) })
+		section(&gets, func(k int64) {
+			if got := a.Get(base + k); got != k {
+				t.Errorf("element %d reads %d after the fence, want %d", base+k, got, k)
+			}
+		})
+	})
+	batches := int64((ops+rcfg.Aggregation-1)/rcfg.Aggregation + 1)
+	if sets.RMIsSent != p*ops || sets.MessagesSent > p*batches {
+		t.Errorf("%d asynchronous writes per location left as %d RMIs in %d messages, want at most %d messages per location (aggregation %d)",
+			ops, sets.RMIsSent, sets.MessagesSent, batches, rcfg.Aggregation)
 	}
-	if async == 0 || sync == 0 {
-		t.Fatalf("missing series: %+v", rows)
-	}
-	if async >= sync {
-		t.Errorf("expected asynchronous writes (%.3fms) to be faster than synchronous reads (%.3fms)", async, sync)
+	if gets.RMIsSent != p*ops || gets.MessagesSent != 2*p*ops {
+		t.Errorf("%d blocking reads per location left as %d RMIs in %d messages, want a request and a reply each", ops, gets.RMIsSent, gets.MessagesSent)
 	}
 }
 

@@ -26,22 +26,6 @@ type Config struct {
 	// disables aggregation.
 	Aggregation int
 
-	// AdaptiveAggregation replaces the fixed Aggregation threshold with a
-	// per-destination target sized from observed flush occupancy: an EWMA of
-	// how full each destination's buffer is when it flushes, probing upward
-	// under sustained traffic and collapsing back toward 1 when a
-	// destination goes quiet (so trickle traffic is not held hostage to a
-	// large batch).  Aggregation still seeds the initial target; the target
-	// is clamped to [1, AggregationMax].  Off by default: the adaptive
-	// threshold changes message counts, so the deterministic counter
-	// baselines keep the fixed policy.
-	AdaptiveAggregation bool
-
-	// AggregationMax bounds the adaptive aggregation target so FIFO flush
-	// latency stays predictable.  Zero means DefaultAggregationMax.  It has
-	// no effect when AdaptiveAggregation is false.
-	AggregationMax int
-
 	// RemoteDelay, when non-nil, returns an artificial latency injected
 	// before delivering a request from src to dst.  It is used to model
 	// machine topology (e.g. intra-node vs. inter-node placement in the
@@ -217,12 +201,6 @@ func NewMachine(p int, cfg Config) *Machine {
 	}
 	if cfg.Aggregation <= 0 {
 		cfg.Aggregation = 1
-	}
-	if cfg.AggregationMax <= 0 {
-		cfg.AggregationMax = DefaultAggregationMax
-	}
-	if cfg.Aggregation > cfg.AggregationMax {
-		cfg.AggregationMax = cfg.Aggregation
 	}
 	if cfg.FaultInjection == nil {
 		cfg.FaultInjection = faultInjectionFromEnv(p)
@@ -487,9 +465,6 @@ func (m *Machine) beginRun() {
 			l.aggBufs[d] = nil
 		}
 		l.aggMu.Unlock()
-		if l.cfg.AdaptiveAggregation {
-			l.resetAggregation()
-		}
 		// Completion callbacks of an aborted run will never fire; drop them
 		// so a stale reply cannot complete a new run's token by accident.
 		l.tokMu.Lock()
@@ -654,14 +629,9 @@ type Location struct {
 	inbox    *mailbox
 	serverWG sync.WaitGroup
 
-	// Aggregation buffers, one per destination.  Under AdaptiveAggregation,
-	// aggEWMA tracks each destination's smoothed flush occupancy and
-	// aggTarget caches the integer flush threshold derived from it; both are
-	// guarded by aggMu alongside the buffers they describe.
-	aggMu     sync.Mutex
-	aggBufs   [][]*rmiRequest
-	aggEWMA   []float64
-	aggTarget []int
+	// Aggregation buffers, one per destination, guarded by aggMu.
+	aggMu   sync.Mutex
+	aggBufs [][]*rmiRequest
 
 	// Registered p_object representatives, held as an immutable snapshot
 	// slice indexed by handle.  Registration is rare and collective
@@ -706,11 +676,6 @@ func newLocation(m *Machine, id, n int, cfg Config) *Location {
 		inbox:   newMailbox(),
 		aggBufs: make([][]*rmiRequest, n),
 		rng:     rand.New(rand.NewSource(cfg.Seed*1_000_003 + int64(id))),
-	}
-	if cfg.AdaptiveAggregation {
-		l.aggEWMA = make([]float64, n)
-		l.aggTarget = make([]int, n)
-		l.resetAggregation()
 	}
 	empty := make([]any, 0)
 	l.objects.Store(&empty)

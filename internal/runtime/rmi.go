@@ -260,79 +260,12 @@ func putBatch(b []*rmiRequest) {
 	batchPool.Put(b[:0])
 }
 
-// DefaultAggregationMax bounds the adaptive aggregation target when
-// Config.AggregationMax is zero.
-const DefaultAggregationMax = 64
-
-// aggEWMAAlpha is the smoothing factor of the per-destination occupancy
-// EWMA: high enough that a destination going quiet collapses its target
-// within a dozen trickle flushes, low enough that one odd flush does not
-// whipsaw the batch size.
-const aggEWMAAlpha = 0.25
-
-// resetAggregation reseeds every destination's adaptive target from the
-// configured Aggregation factor.  Called at construction and at the start of
-// each run, so targets learned by one Execute do not leak into the next
-// (runs must stay deterministic in isolation).
-func (l *Location) resetAggregation() {
-	l.aggMu.Lock()
-	seed := l.cfg.Aggregation
-	if seed > l.cfg.AggregationMax {
-		seed = l.cfg.AggregationMax
-	}
-	for d := range l.aggTarget {
-		l.aggTarget[d] = seed
-		l.aggEWMA[d] = float64(seed)
-	}
-	l.aggMu.Unlock()
-}
-
-// AggregationTarget reports the current flush threshold for dest: the fixed
-// Aggregation factor, or the adaptively learned per-destination target when
-// AdaptiveAggregation is on (exposed for tests and introspection).
-func (l *Location) AggregationTarget(dest int) int {
-	if !l.cfg.AdaptiveAggregation {
-		return l.cfg.Aggregation
-	}
-	l.aggMu.Lock()
-	defer l.aggMu.Unlock()
-	return l.aggTarget[dest]
-}
-
-// observeFlushLocked folds one flush of dest's buffer into its occupancy
-// EWMA and re-derives the integer target.  threshold marks a flush that
-// happened because the buffer reached its target (sustained traffic): the
-// sample is doubled so the target probes upward toward AggregationMax.  An
-// explicit flush (fence, sync, urgent, bulk) samples the raw occupancy,
-// so a destination that keeps flushing nearly empty decays toward 1 and
-// trickle traffic stops waiting on a batch that will never fill.
-// Caller holds aggMu.
-func (l *Location) observeFlushLocked(dest, occ int, threshold bool) {
-	sample := float64(occ)
-	if threshold {
-		sample *= 2
-	}
-	if max := float64(l.cfg.AggregationMax); sample > max {
-		sample = max
-	}
-	l.aggEWMA[dest] += (sample - l.aggEWMA[dest]) * aggEWMAAlpha
-	t := int(l.aggEWMA[dest] + 0.5)
-	if t < 1 {
-		t = 1
-	}
-	if t > l.cfg.AggregationMax {
-		t = l.cfg.AggregationMax
-	}
-	l.aggTarget[dest] = t
-}
-
 // enqueue places an asynchronous request in the aggregation buffer for dest,
 // flushing the buffer as a single batch when it reaches the aggregation
-// threshold (the fixed factor, or the destination's adaptive target).
+// factor.
 func (l *Location) enqueue(dest int, req *rmiRequest) {
 	l.machine.addPending(l.id, 1)
-	adaptive := l.cfg.AdaptiveAggregation
-	if !adaptive && l.cfg.Aggregation <= 1 {
+	if l.cfg.Aggregation <= 1 {
 		l.stats.messagesSent.Add(1)
 		l.machine.transport.DeliverOne(l.id, dest, req)
 		return
@@ -342,17 +275,10 @@ func (l *Location) enqueue(dest int, req *rmiRequest) {
 		l.aggBufs[dest] = getBatch()
 	}
 	l.aggBufs[dest] = append(l.aggBufs[dest], req)
-	target := l.cfg.Aggregation
-	if adaptive {
-		target = l.aggTarget[dest]
-	}
 	var batch []*rmiRequest
-	if len(l.aggBufs[dest]) >= target {
+	if len(l.aggBufs[dest]) >= l.cfg.Aggregation {
 		batch = l.aggBufs[dest]
 		l.aggBufs[dest] = nil
-		if adaptive {
-			l.observeFlushLocked(dest, len(batch), true)
-		}
 	}
 	l.aggMu.Unlock()
 	if batch != nil {
@@ -364,34 +290,12 @@ func (l *Location) enqueue(dest int, req *rmiRequest) {
 
 // flushDest delivers any buffered asynchronous requests destined to dest.
 func (l *Location) flushDest(dest int) {
-	l.flushDestObserve(dest, false)
-}
-
-// flushDestObserve is flushDest with control over idle observation.  An
-// explicit flush that finds the buffer EMPTY is the trickle signal — the
-// destination's traffic is not filling batches between synchronisation
-// points — so fences feed it to the controller as a floor sample of 1,
-// letting the target decay all the way back (a threshold flush at target 1
-// probes upward with a doubled sample, so without idle observations the
-// target could never settle at 1).  Only the fence-level flushAll passes
-// observeIdle: the flush ahead of an urgent, bulk or synchronous request
-// (deliverNow) finds the buffer empty whenever two such requests follow each
-// other, which says nothing about the asynchronous traffic.
-func (l *Location) flushDestObserve(dest int, observeIdle bool) {
-	adaptive := l.cfg.AdaptiveAggregation
-	if !adaptive && l.cfg.Aggregation <= 1 {
+	if l.cfg.Aggregation <= 1 {
 		return
 	}
 	l.aggMu.Lock()
 	batch := l.aggBufs[dest]
 	l.aggBufs[dest] = nil
-	if adaptive {
-		if len(batch) > 0 {
-			l.observeFlushLocked(dest, len(batch), false)
-		} else if observeIdle {
-			l.observeFlushLocked(dest, 1, false)
-		}
-	}
 	l.aggMu.Unlock()
 	if len(batch) > 0 {
 		l.stats.messagesSent.Add(1)
@@ -405,10 +309,10 @@ func (l *Location) flushDestObserve(dest int, observeIdle bool) {
 // flushAll delivers every buffered asynchronous request.  It is called on
 // entry to Fence and when the SPMD function returns.
 func (l *Location) flushAll() {
-	if !l.cfg.AdaptiveAggregation && l.cfg.Aggregation <= 1 {
+	if l.cfg.Aggregation <= 1 {
 		return
 	}
 	for d := 0; d < l.n; d++ {
-		l.flushDestObserve(d, true)
+		l.flushDest(d)
 	}
 }

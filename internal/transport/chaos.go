@@ -186,6 +186,6 @@ func (c *Chaos) WireStats() WireStats {
 		Dropped:    c.dropped.Load(),
 		Reconnects: c.reconnects.Load(),
 	}
-	s.add(innerStats(c.inner))
+	s.Add(innerStats(c.inner))
 	return s
 }

@@ -322,7 +322,7 @@ func (r *Reliable) WireStats() WireStats {
 		DuplicatesDropped: r.dupDropped.Load(),
 		OutOfOrder:        r.outOfOrder.Load(),
 	}
-	s.add(innerStats(r.inner))
+	s.Add(innerStats(r.inner))
 	return s
 }
 

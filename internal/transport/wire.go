@@ -77,12 +77,10 @@ type WireStats struct {
 	Reconnects int64
 }
 
-// Add accumulates another stack's counters, for folding per-process wire
-// statistics into job-wide totals in multi-process runs.
-func (s *WireStats) Add(o WireStats) { s.add(o) }
-
-// add accumulates an inner layer's counters.
-func (s *WireStats) add(o WireStats) {
+// Add accumulates another set of counters: an inner layer's into its
+// wrapper's, or one process's into the job-wide totals of a multi-process
+// run.
+func (s *WireStats) Add(o WireStats) {
 	s.FramesSent += o.FramesSent
 	s.FramesReceived += o.FramesReceived
 	s.BytesSent += o.BytesSent

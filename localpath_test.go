@@ -1,8 +1,6 @@
 package repro
 
 import (
-	goruntime "runtime"
-	"runtime/debug"
 	"testing"
 
 	"repro/internal/containers/parray"
@@ -181,9 +179,7 @@ func remoteRun(n int64) (idxs, vals []int64) {
 // in place, so the count does not depend on how many elements a bulk group
 // carries, and a blocking read costs a fixed handful.
 func TestWireElementMethodAllocations(t *testing.T) {
-	if raceDetector {
-		t.Skip("under the race detector sync.Pool drops a quarter of what it is handed, at random")
-	}
+	steadyAllocs(t)
 	// A SetBulk+GetBulk pair is three messages (group, group, group reply), a
 	// Get is two (request, reply).  A message allocates its frame, the frame's
 	// envelope, the receiver's descriptor slice and the ack coming back: four,
@@ -196,13 +192,6 @@ func TestWireElementMethodAllocations(t *testing.T) {
 	// (39 over TCP, now 19: a socket adds the received frame's buffer and
 	// the writer's queue).
 	const bulkPairAllocs, getAllocs = 20, 11
-	// A collection empties every sync.Pool and the pools' own bookkeeping, and
-	// how often one runs depends on how much a call allocates; a pool is a
-	// cache per processor, and which one a location runs on is the scheduler's
-	// choice.  With the collector off and one processor the count is the code
-	// path's.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(1))
 	for _, n := range []int64{64, 1024, 8192} {
 		onWire(runtime.WireTransport, n, func(_ *runtime.Location, arr *parray.Array[int64]) {
 			idxs, vals := remoteRun(n)
