@@ -1,6 +1,7 @@
 package graphalgo
 
 import (
+	"maps"
 	"sync"
 
 	"repro/internal/containers/pgraph"
@@ -23,12 +24,30 @@ func (e *ccEngine) propose(vd, label int64) {
 	e.mu.Unlock()
 }
 
+// endRound reports (as 0 or 1, ready to be summed) whether a proposal lowered
+// a local label since the last call, clears the flag and copies the labels —
+// one critical section, so the verdict on a round and the labels the next
+// round pushes are the same cut.
+func (e *ccEngine) endRound() (changed int64, snapshot map[int64]int64) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.changed {
+		changed, e.changed = 1, false
+	}
+	return changed, maps.Clone(e.label)
+}
+
 // ConnectedComponents labels every vertex with the smallest vertex
 // descriptor in its (weakly) connected component using iterative label
 // propagation, and returns each location's labels for its local vertices.
 // For directed graphs the propagation follows out-edges only, so it computes
 // reachability-based components; build the graph undirected to get the
 // standard weakly connected components.  Collective.
+//
+// Every round pushes a snapshot taken while no proposal can be in flight —
+// before the first fence, then between a round's fence and its reduction —
+// so a label travels exactly one edge per round and the number of rounds
+// depends on the graph alone, not on which location runs ahead.
 func ConnectedComponents[VP any, EP any](loc *runtime.Location, g *pgraph.Graph[VP, EP]) map[int64]int64 {
 	eng := &ccEngine{label: make(map[int64]int64)}
 	h := loc.RegisterObject(eng)
@@ -38,17 +57,10 @@ func ConnectedComponents[VP any, EP any](loc *runtime.Location, g *pgraph.Graph[
 	for _, vd := range g.LocalVertices() {
 		eng.label[vd] = vd
 	}
+	_, snapshot := eng.endRound()
 	loc.Fence()
 
 	for {
-		eng.mu.Lock()
-		eng.changed = false
-		snapshot := make(map[int64]int64, len(eng.label))
-		for k, v := range eng.label {
-			snapshot[k] = v
-		}
-		eng.mu.Unlock()
-
 		// Push every local vertex's label to its neighbours.
 		for vd, lbl := range snapshot {
 			lbl := lbl
@@ -63,27 +75,17 @@ func ConnectedComponents[VP any, EP any](loc *runtime.Location, g *pgraph.Graph[
 		}
 		loc.Fence()
 
-		eng.mu.Lock()
-		changed := int64(0)
-		if eng.changed {
-			changed = 1
-		}
-		eng.mu.Unlock()
+		var changed int64
+		changed, snapshot = eng.endRound()
 		if runtime.AllReduceSum(loc, changed) == 0 {
 			break
 		}
 	}
 
-	eng.mu.Lock()
-	out := make(map[int64]int64, len(eng.label))
-	for k, v := range eng.label {
-		out[k] = v
-	}
-	eng.mu.Unlock()
-	loc.Fence()
+	// Nothing changed anywhere in the last round: its snapshot is the result.
 	loc.UnregisterObject(h)
 	loc.Barrier()
-	return out
+	return snapshot
 }
 
 // NumComponents counts the distinct component labels across the machine.

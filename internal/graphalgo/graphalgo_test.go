@@ -122,6 +122,51 @@ func TestConnectedComponents(t *testing.T) {
 	})
 }
 
+// TestConnectedComponentsRoundCount pins the round count on an undirected
+// path of n vertices: the smallest label travels exactly one edge per round,
+// so rounds 1..n-1 each lower the far end's label and round n finds nothing
+// left to change — whichever location runs ahead, on shared memory and over
+// sockets alike.  Each round is one fence, so the location's fence counter
+// measures it.
+func TestConnectedComponentsRoundCount(t *testing.T) {
+	const n = 12
+	for _, tr := range []struct {
+		name    string
+		factory runtime.TransportFactory
+	}{
+		{"inproc", runtime.InprocTransport},
+		{"tcp", runtime.TCPLoopbackTransport},
+	} {
+		t.Run(tr.name, func(t *testing.T) {
+			cfg := runtime.DefaultConfig()
+			cfg.Transport = tr.factory
+			for rep := 0; rep < 20; rep++ {
+				runtime.NewMachine(4, cfg).Execute(func(loc *runtime.Location) {
+					g := pgraph.New[int64, int8](loc, n, pgraph.WithDirected(false))
+					if loc.ID() == 0 {
+						for v := int64(0); v < n-1; v++ {
+							g.AddEdgeAsync(v, v+1, 0)
+						}
+					}
+					loc.Fence()
+					before := loc.Stats().Fences
+					labels := ConnectedComponents(loc, g)
+					// One fence publishes the initial labels, then one per round.
+					if rounds := loc.Stats().Fences - before - 1; rounds != n {
+						t.Errorf("run %d, location %d: %d rounds, want %d", rep, loc.ID(), rounds, n)
+					}
+					for vd, lbl := range labels {
+						if lbl != 0 {
+							t.Errorf("run %d: vertex %d label %d, want 0", rep, vd, lbl)
+						}
+					}
+					loc.Fence()
+				})
+			}
+		})
+	}
+}
+
 func TestInDegreesAndFindSources(t *testing.T) {
 	run(4, func(loc *runtime.Location) {
 		// A "fan" DAG: sources 0,1,2 all point to 3; 3 points to 4..7.

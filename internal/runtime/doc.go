@@ -2,7 +2,7 @@
 // by the Parallel Container Framework: locations, the ARMI communication
 // layer (asynchronous, synchronous and split-phase remote method
 // invocations), futures, global quiescence (rmi_fence), collective
-// operations, message aggregation and a small task executor.
+// operations and message aggregation.
 //
 // The paper's RTS runs on MPI/pthreads across physical nodes.  Here the
 // parallel machine is simulated inside one Go process: a Machine owns P

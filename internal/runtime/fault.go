@@ -140,8 +140,8 @@ func (f *MachineFault) Unwrap() error { return f.Cause }
 
 // abortSignal is the sentinel panic value used to unwind SPMD goroutines
 // parked in blocking primitives (Barrier, Fence, Future.Get, SyncRMI,
-// OneSidedFence, Executor.Run) once the machine aborts.  The per-location
-// recover recognises it and records the location as unwound, not faulted.
+// OneSidedFence) once the machine aborts.  The per-location recover
+// recognises it and records the location as unwound, not faulted.
 type abortSignal struct{}
 
 func (abortSignal) String() string { return "runtime: machine aborted" }

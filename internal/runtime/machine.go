@@ -68,15 +68,28 @@ func DefaultConfig() Config {
 type Machine struct {
 	cfg       Config
 	locations []*Location
+	// driven are the locations whose SPMD body and server this process runs:
+	// all of them, or the one of this rank in a launched job.
+	driven []*Location
 
 	// pending counts RMIs that have been sent (or buffered) but whose
 	// handlers have not yet completed.  Fence waits for it to reach zero.
 	// pendingBySrc tracks the same per issuing location, for the
-	// one-sided fence.
+	// one-sided fence.  The decrement that takes either to zero broadcasts
+	// quiesceCv: quiescence is an event, nobody polls for it.
 	pending      atomic.Int64
 	pendingBySrc []atomic.Int64
 	quiesceMu    sync.Mutex
 	quiesceCv    *sync.Cond
+	// draining counts the driven locations inside a fence, from their entry
+	// until the machine was seen quiescent (the run loop sets it to all of
+	// them once every body has returned).  While it equals len(driven) no
+	// top-level code can issue anything, so nobody is left to fill an
+	// aggregation buffer to its threshold and a server flushes what its
+	// handlers buffered when it finishes a mailbox batch.
+	draining atomic.Int32
+	// servers tracks the running RMI server goroutines.
+	servers sync.WaitGroup
 
 	// barrier state (central, sense-reversing).
 	barMu    sync.Mutex
@@ -229,6 +242,7 @@ func NewMachine(p int, cfg Config) *Machine {
 	for i := 0; i < p; i++ {
 		m.locations[i] = newLocation(m, i, p, cfg)
 	}
+	m.driven = m.locations
 	if isProcFactory(m.transportFactory) {
 		rt, err := procConnect()
 		if err != nil {
@@ -238,6 +252,7 @@ func NewMachine(p int, cfg Config) *Machine {
 			panic(fmt.Sprintf("runtime: proc machine needs one location per process: %d locations, %d processes", p, rt.n))
 		}
 		m.proc = rt
+		m.driven = m.locations[rt.rank : rt.rank+1]
 	}
 	return m
 }
@@ -262,17 +277,7 @@ func (m *Machine) Stats() Stats {
 func (m *Machine) foldShards() Stats {
 	var s Stats
 	for _, l := range m.locations {
-		s.RMIsSent += l.stats.rmisSent.Load()
-		s.MessagesSent += l.stats.messagesSent.Load()
-		s.RMIsHandled += l.stats.rmisHandled.Load()
-		s.SyncRMIs += l.stats.syncRMIs.Load()
-		s.AsyncRMIs += l.stats.asyncRMIs.Load()
-		s.BulkRMIs += l.stats.bulkRMIs.Load()
-		s.BulkOps += l.stats.bulkOps.Load()
-		s.DirectoryRMIs += l.stats.directoryRMIs.Load()
-		s.Fences += l.stats.fences.Load()
-		s.BytesSimulated += l.stats.bytesSimulated.Load()
-		s.SizerMisses += l.stats.sizerMisses.Load()
+		s = s.Add(l.Stats())
 	}
 	return s
 }
@@ -359,24 +364,31 @@ func (m *Machine) Execute(fn func(loc *Location)) {
 // instead of deadlocking — and the machine is reusable for another run
 // afterwards (its containers' contents, however, are whatever the aborted
 // run left behind).
+//
+// This is the only run loop: it drives m.driven — every location, or in a
+// launched job this rank's own, where it also binds the machine to the
+// control plane for the run and folds the job's statistics at the end.
 func (m *Machine) ExecuteErr(fn func(loc *Location)) *MachineFault {
-	if m.proc != nil {
-		return m.procExecuteErr(fn)
-	}
 	m.beginRun()
+	if m.proc != nil {
+		if err := m.proc.attach(m); err != nil {
+			m.recordFault(&LocationFault{Location: -1, Kind: FaultTransport, Err: err.Error(), remote: true})
+			return m.collectFault()
+		}
+		defer m.proc.detach(m)
+	}
 	// Bring up the interconnect for this run.  It is built per Execute so
 	// wire transports only hold sockets and goroutines while SPMD code runs.
 	m.transport = m.transportFactory(m)
-	// Start RMI servers.
-	for _, l := range m.locations {
+	for _, l := range m.driven {
 		l.startServer()
 	}
 	if m.stallTimeout > 0 {
 		m.startWatchdog(m.stallTimeout)
 	}
 	var wg sync.WaitGroup
-	wg.Add(len(m.locations))
-	for _, l := range m.locations {
+	wg.Add(len(m.driven))
+	for _, l := range m.driven {
 		go func(l *Location) {
 			defer wg.Done()
 			defer func() {
@@ -395,12 +407,18 @@ func (m *Machine) ExecuteErr(fn func(loc *Location)) *MachineFault {
 			fn(l)
 			// Flush any aggregation buffers left by the SPMD code so
 			// trailing asynchronous requests are delivered.
-			l.flushAll()
+			l.flushBetweenBatches()
 		}(l)
 	}
 	m.awaitUnwind(&wg)
 	// Drain outstanding traffic before stopping the servers (returns early
-	// when the run aborted: dropped requests keep pending above zero).
+	// when the run aborted: dropped requests keep pending above zero).  No
+	// SPMD goroutine is left to flush what a handler buffered before the
+	// machine was draining, so the run loop makes that one sweep itself.
+	m.draining.Store(int32(len(m.driven)))
+	for _, l := range m.driven {
+		l.flushBetweenBatches()
+	}
 	m.waitQuiescent()
 	// The watchdog covered the SPMD run and the quiescence wait; the drain
 	// below is bounded on its own.
@@ -415,20 +433,15 @@ func (m *Machine) ExecuteErr(fn func(loc *Location)) *MachineFault {
 	if err := m.transport.Drain(budget); err != nil {
 		m.recordFault(&LocationFault{Location: -1, Kind: FaultTransport, Err: err})
 	}
+	if m.proc != nil && !m.aborted() {
+		m.procFoldStats()
+	}
 	m.lastWireName = m.transport.Name()
 	m.lastWireStats = m.transport.WireStats()
-	for _, l := range m.locations {
+	for _, l := range m.driven {
 		l.stopServer()
 	}
-	var serverWG sync.WaitGroup
-	serverWG.Add(len(m.locations))
-	for _, l := range m.locations {
-		go func(l *Location) {
-			defer serverWG.Done()
-			l.serverWG.Wait()
-		}(l)
-	}
-	m.awaitUnwind(&serverWG)
+	m.awaitUnwind(&m.servers)
 	if err := m.transport.Close(); err != nil {
 		m.recordFault(&LocationFault{Location: -1, Kind: FaultTransport, Err: err})
 	}
@@ -449,6 +462,7 @@ func (m *Machine) beginRun() {
 	m.status = make([]LocationStatus, len(m.locations))
 	m.faultMu.Unlock()
 	m.pending.Store(0)
+	m.draining.Store(0)
 	for i := range m.pendingBySrc {
 		m.pendingBySrc[i].Store(0)
 	}
@@ -513,11 +527,12 @@ func (m *Machine) addPending(src int, n int64) {
 	m.pendingBySrc[src].Add(n)
 }
 
-// unpendSent removes n requests issued by src from the pending accounting.
-// The multi-process transport calls it after handing a batch to the wire:
-// responsibility moves to the receiving process, which re-pends the requests
-// at arrival, and the quiescence waves account for frames in flight between
-// the two (see procQuiesce).
+// unpendSent removes n requests issued by src from the pending accounting:
+// a handler completed (n = 1), or the multi-process transport handed a batch
+// to the wire — responsibility moves to the receiving process, which re-pends
+// the requests at arrival, and the quiescence waves account for frames in
+// flight between the two (see procQuiesce).  The decrement that takes the
+// global or the source's count to zero is the quiescence event.
 func (m *Machine) unpendSent(src int, n int64) {
 	globalZero := m.pending.Add(-n) == 0
 	srcZero := m.pendingBySrc[src].Add(-n) == 0
@@ -528,59 +543,31 @@ func (m *Machine) unpendSent(src int, n int64) {
 	}
 }
 
-func (m *Machine) donePending(src int) {
-	globalZero := m.pending.Add(-1) == 0
-	srcZero := m.pendingBySrc[src].Add(-1) == 0
-	if globalZero || srcZero {
-		m.quiesceMu.Lock()
-		m.quiesceCv.Broadcast()
-		m.quiesceMu.Unlock()
+// waitZero blocks until the pending counter c reads zero or the machine
+// aborts (abort broadcasts quiesceCv too); the caller tells the two apart.
+func (m *Machine) waitZero(c *atomic.Int64) {
+	m.quiesceMu.Lock()
+	for c.Load() != 0 && !m.aborted() {
+		m.quiesceCv.Wait()
 	}
+	m.quiesceMu.Unlock()
 }
 
-// waitQuiescent blocks until no RMIs are outstanding.  It must only be
-// called while no SPMD goroutine can issue new top-level requests (i.e.
-// inside a barrier or after all SPMD functions returned); handler-generated
-// requests are accounted for because a handler only decrements pending after
-// any requests it issued were already counted.
-//
-// Handler-issued asynchronous requests may be sitting in aggregation
-// buffers with no one left to fill them up to the flush threshold, so the
-// wait repeatedly flushes every location's buffers until the machine drains
-// (this is the fence's role of delivering all pending traffic).
+// waitQuiescent blocks until no RMIs are outstanding anywhere.  It must only
+// be called while no SPMD goroutine can issue new top-level requests (i.e.
+// between a fence's barriers or after all SPMD functions returned);
+// handler-generated requests are accounted for because a handler only
+// decrements pending after any requests it issued were already counted, so
+// once pending reads zero it stays zero and one wait suffices.
 // An aborted machine can never quiesce — dropped requests keep the pending
 // counter above zero — so the wait returns as soon as the abort is observed
 // and leaves the unwinding to the caller.
 func (m *Machine) waitQuiescent() {
-	for m.pending.Load() != 0 {
-		if m.aborted() {
-			return
-		}
-		for _, l := range m.locations {
-			l.flushAll()
-		}
-		if m.pending.Load() == 0 {
-			return
-		}
-		waitABit()
+	if m.proc != nil {
+		m.procQuiesce()
+		return
 	}
-}
-
-// waitSrcQuiescent blocks until no RMI issued by location src is
-// outstanding.  Requests that handlers spawned on other locations while
-// servicing src's traffic are attributed to the forwarding location, which
-// matches the paper's os_fence semantics (the caller's own requests have
-// been delivered and executed).
-func (m *Machine) waitSrcQuiescent(src int) {
-	m.quiesceMu.Lock()
-	for m.pendingBySrc[src].Load() != 0 {
-		if m.aborted() {
-			m.quiesceMu.Unlock()
-			panic(abortSignal{})
-		}
-		m.quiesceCv.Wait()
-	}
-	m.quiesceMu.Unlock()
+	m.waitZero(&m.pending)
 }
 
 // barrier blocks until all locations have reached it.  It is reusable.  A
@@ -626,12 +613,17 @@ type Location struct {
 	n       int
 	cfg     Config
 
-	inbox    *mailbox
-	serverWG sync.WaitGroup
+	inbox *mailbox
 
 	// Aggregation buffers, one per destination, guarded by aggMu.
 	aggMu   sync.Mutex
 	aggBufs [][]*rmiRequest
+	// batchMu is held by the server while it executes a mailbox batch and by
+	// this location's own whole-buffer flushes (flushBetweenBatches), so a
+	// flush never cuts in two what one batch's handlers send to one
+	// destination: how many messages a fenced program moves does not depend
+	// on when its locations reach the fence.
+	batchMu sync.Mutex
 
 	// Registered p_object representatives, held as an immutable snapshot
 	// slice indexed by handle.  Registration is rare and collective
@@ -754,21 +746,34 @@ func (l *Location) object(h Handle) any {
 // ordering guarantee for a given (source, destination) pair.  The server
 // drains the mailbox in whole batches (one lock acquisition per batch) and
 // returns executed requests to the request pool.
+//
+// While the machine is draining, the server flushes this location's
+// aggregation buffers at the end of every batch — before the batch's last
+// request leaves the pending count, so the machine cannot look quiescent (and
+// the fence cannot end, and draining cannot drop) with a handler's send still
+// buffered.  Outside a drain that is one atomic load per batch.
 func (l *Location) startServer() {
-	l.serverWG.Add(1)
+	m := l.machine
+	m.servers.Add(1)
 	go func() {
-		defer l.serverWG.Done()
+		defer m.servers.Done()
 		var spare []*rmiRequest
 		for {
 			batch := l.inbox.popBatch(spare)
 			if batch == nil {
 				return
 			}
+			l.batchMu.Lock()
 			for i, req := range batch {
 				l.execute(req)
+				if i == len(batch)-1 && int(m.draining.Load()) == len(m.driven) {
+					l.flushAll()
+				}
+				m.unpendSent(req.src, 1)
 				putRequest(req)
 				batch[i] = nil
 			}
+			l.batchMu.Unlock()
 			spare = batch
 		}
 	}()
@@ -776,17 +781,16 @@ func (l *Location) startServer() {
 
 func (l *Location) stopServer() { l.inbox.close() }
 
-// execute runs one RMI request against the local representative.  A panic
-// in the handler (or in the framework lookup around it) is contained: it is
-// captured as a FaultHandlerPanic with the handler's stack and aborts the
-// machine, instead of killing the process from a server goroutine and
-// stranding every other location.  The abort sentinel itself (a handler
-// unblocked mid-abort) is swallowed — the fault that caused it is already
-// on file.
+// execute runs one RMI request against the local representative (the server
+// loop takes it off the pending count afterwards).  A panic in the handler (or
+// in the framework lookup around it) is contained: it is captured as a
+// FaultHandlerPanic with the handler's stack and aborts the machine, instead
+// of killing the process from a server goroutine and stranding every other
+// location.  The abort sentinel itself (a handler unblocked mid-abort) is
+// swallowed — the fault that caused it is already on file.
 func (l *Location) execute(req *rmiRequest) {
 	l.handlerStarted.Add(1)
 	defer l.handlerDone.Add(1)
-	defer l.machine.donePending(req.src)
 	defer func() {
 		r := recover()
 		if r == nil {

@@ -120,8 +120,7 @@ type procRuntime struct {
 	epoch  uint64                   // current run number (attach increments)
 	rounds map[uint64]chan [][]byte // round waiters by sequence number
 	m      *Machine                 // machine of the run in progress
-	dead   error                    // control plane unusable (fatal abort, hub gone)
-	fatal  *ProcFault               // fatal fault to apply to future runs
+	dead   error                    // control plane unusable (fatal abort, hub gone): no later run attaches
 }
 
 var (
@@ -256,7 +255,6 @@ func (p *procRuntime) onAbort(f *ProcFault) {
 	m := p.m
 	apply := f.Fatal || (m != nil && f.Epoch == p.epoch)
 	if f.Fatal {
-		p.fatal = f
 		p.dead = fmt.Errorf("runtime: job aborted: %s", f.Msg)
 		for seq, ch := range p.rounds {
 			delete(p.rounds, seq)
@@ -408,12 +406,18 @@ var errProcAborted = fmt.Errorf("runtime: run aborted during a collective round"
 func (p *procRuntime) collectiveRound(m *Machine, payload []byte) [][]byte {
 	got, err := p.round(payload)
 	if err != nil {
-		if err != errProcAborted && !m.aborted() {
-			m.recordFault(&LocationFault{Location: -1, Kind: FaultTransport, Err: err.Error(), remote: true})
-		}
+		m.roundFailed(err)
 		panic(abortSignal{})
 	}
 	return got
+}
+
+// roundFailed makes sure a failed round leaves the machine aborted with a
+// fault on file (the abort that failed it usually filed one already).
+func (m *Machine) roundFailed(err error) {
+	if err != errProcAborted && !m.aborted() {
+		m.recordFault(&LocationFault{Location: -1, Kind: FaultTransport, Err: err.Error(), remote: true})
+	}
 }
 
 // Collective value encoding.  Contributions travel as gob inside a
@@ -526,38 +530,38 @@ type procVote struct {
 	Arrived int64 // requests received from the data plane by this process
 }
 
-// procQuiesce is the distributed counterpart of waitQuiescent: the machine
-// is globally quiescent when every process's local pending count is zero AND
-// the job-wide sent and arrived request totals are equal across two
-// consecutive waves with no traffic in between (the classic double-wave
-// termination detection — a single matching wave can be a coincidence of
-// read skew while a request chain is still bouncing).
+// procQuiesce is waitQuiescent for a launched job: the machine is globally
+// quiescent when every process's local pending count is zero AND the job-wide
+// sent and arrived request totals are equal across two consecutive waves with
+// no traffic in between (the classic double-wave termination detection — a
+// single matching wave can be a coincidence of read skew while a request
+// chain is still bouncing).  Every wave is a collective round, so no rank
+// returns before quiescence was jointly observed, and a round completes only
+// once every rank has drained locally: the round itself is the back-off
+// between waves.  Like waitQuiescent it returns early when the run aborts.
 func (m *Machine) procQuiesce() {
 	pt, ok := m.transport.(*procTransport)
 	if !ok {
 		panic(fmt.Sprintf("runtime: proc machine is running transport %q; proc mode requires the proc transport", m.transport.Name()))
 	}
-	self := m.locations[m.proc.rank]
 	prev := int64(-1)
 	for {
-		// Drain local work: flush aggregation buffers and wait for the local
-		// pending count (arrivals in execution, plus anything a handler
-		// buffered) to reach zero.
-		for m.pending.Load() != 0 {
-			m.checkAbort()
-			self.flushAll()
-			if m.pending.Load() == 0 {
-				break
-			}
-			waitABit()
+		// Drain local work — arrivals in execution, plus anything a handler
+		// buffered — on the same event an in-process fence waits for.
+		m.waitZero(&m.pending)
+		if m.aborted() {
+			return
 		}
-		m.checkAbort()
 		vote := procVote{Sent: pt.sent.Load(), Arrived: pt.arrived.Load()}
 		var b bytes.Buffer
 		if err := gob.NewEncoder(&b).Encode(&vote); err != nil {
 			panic(fmt.Sprintf("runtime: encoding quiescence vote: %v", err))
 		}
-		got := m.proc.collectiveRound(m, b.Bytes())
+		got, err := m.proc.round(b.Bytes())
+		if err != nil {
+			m.roundFailed(err)
+			return
+		}
 		var sent, arrived int64
 		for _, pb := range got {
 			var v procVote
@@ -574,18 +578,8 @@ func (m *Machine) procQuiesce() {
 			prev = sent
 		} else {
 			prev = -1
-			waitABit()
 		}
 	}
-}
-
-// procFence is the multi-process Fence: flush, then the quiescence waves
-// (which double as the barrier — every wave is a collective round, so no
-// rank leaves before global quiescence was jointly observed).
-func (l *Location) procFence() {
-	l.stats.fences.Add(1)
-	l.flushAll()
-	l.machine.procQuiesce()
 }
 
 // procStatsMsg is one rank's contribution to the end-of-run statistics fold.
@@ -619,96 +613,6 @@ func (m *Machine) procFoldStats() {
 	}
 	m.foldedStats = &folded
 	m.foldedWire = &wire
-}
-
-// procExecuteErr is ExecuteErr for a proc-mode machine: the SPMD body runs
-// only for this process's own location, quiescence and statistics fold run
-// over the control plane, and a fault anywhere in the job aborts every rank.
-func (m *Machine) procExecuteErr(fn func(loc *Location)) *MachineFault {
-	p := m.proc
-	m.beginRun()
-	if err := p.attach(m); err != nil {
-		m.recordFault(&LocationFault{Location: -1, Kind: FaultTransport, Err: err.Error(), remote: true})
-		return m.collectFault()
-	}
-	defer p.detach(m)
-	// A fatal fault that arrived between runs (a rank died while we were not
-	// executing) applies to this run immediately.
-	p.mu.Lock()
-	if f := p.fatal; f != nil {
-		p.mu.Unlock()
-		m.recordFault(&LocationFault{Location: f.Location, Kind: f.Kind, Err: f.Msg, remote: true})
-		return m.collectFault()
-	}
-	p.mu.Unlock()
-
-	m.transport = m.transportFactory(m)
-	self := m.locations[p.rank]
-	self.startServer()
-	if m.stallTimeout > 0 {
-		m.startWatchdog(m.stallTimeout)
-	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer func() {
-			r := recover()
-			if r == nil {
-				return
-			}
-			if _, unwound := r.(abortSignal); unwound {
-				m.setUnwound(self.id)
-				return
-			}
-			m.recordFault(&LocationFault{
-				Location: self.id, Kind: FaultBodyPanic, Err: r, Stack: captureStack(),
-			})
-		}()
-		fn(self)
-		self.flushAll()
-	}()
-	m.awaitUnwind(&wg)
-	if !m.aborted() {
-		// The final quiescence waves run on this goroutine (the SPMD body has
-		// returned); an abort mid-wave unwinds as the sentinel.
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					if _, unwound := r.(abortSignal); !unwound {
-						panic(r)
-					}
-				}
-			}()
-			m.procQuiesce()
-		}()
-	}
-	m.stopWatchdog()
-	budget := fullDrainBudget
-	if m.aborted() {
-		budget = abortDrainBudget
-	}
-	if err := m.transport.Drain(budget); err != nil {
-		m.recordFault(&LocationFault{Location: -1, Kind: FaultTransport, Err: err})
-	}
-	if !m.aborted() {
-		m.procFoldStats()
-	}
-	m.lastWireName = m.transport.Name()
-	m.lastWireStats = m.transport.WireStats()
-	self.stopServer()
-	var serverWG sync.WaitGroup
-	serverWG.Add(1)
-	go func() {
-		defer serverWG.Done()
-		self.serverWG.Wait()
-	}()
-	m.awaitUnwind(&serverWG)
-	if err := m.transport.Close(); err != nil {
-		m.recordFault(&LocationFault{Location: -1, Kind: FaultTransport, Err: err})
-	}
-	m.transport = nil
-	return m.collectFault()
 }
 
 // isProcFactory reports whether f is the ProcTransport factory (the proc

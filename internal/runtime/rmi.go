@@ -306,8 +306,9 @@ func (l *Location) flushDest(dest int) {
 	}
 }
 
-// flushAll delivers every buffered asynchronous request.  It is called on
-// entry to Fence and when the SPMD function returns.
+// flushAll delivers every buffered asynchronous request.  The server calls
+// it at the end of a batch while the machine drains, and OneSidedFence, which
+// a handler may call; everybody else goes through flushBetweenBatches.
 func (l *Location) flushAll() {
 	if l.cfg.Aggregation <= 1 {
 		return
@@ -315,4 +316,14 @@ func (l *Location) flushAll() {
 	for d := 0; d < l.n; d++ {
 		l.flushDest(d)
 	}
+}
+
+// flushBetweenBatches is flushAll for the collective callers — a fence, the
+// end of the SPMD body, the run loop: it waits out the mailbox batch this
+// location's server is executing, so the flush sees all of that batch's sends
+// or none of them.
+func (l *Location) flushBetweenBatches() {
+	l.batchMu.Lock()
+	l.flushAll()
+	l.batchMu.Unlock()
 }

@@ -376,70 +376,6 @@ func TestRegisterUnregister(t *testing.T) {
 	})
 }
 
-func TestExecutorRunsDependentTasks(t *testing.T) {
-	m := NewMachine(4, DefaultConfig())
-	var order sync.Map
-	var seq atomic.Int64
-	m.Execute(func(loc *Location) {
-		ex := NewExecutor(loc)
-		loc.Barrier()
-		// Location 0 builds a chain of tasks 0 -> 1 -> 2 -> 3, one per
-		// location, plus an independent task per location.
-		if loc.ID() == 0 {
-			for i := 0; i < 4; i++ {
-				id := TaskID(i)
-				ex.AddTask(id, i, func(l *Location) {
-					order.Store(id, seq.Add(1))
-				})
-			}
-			for i := 0; i < 3; i++ {
-				ex.AddDependency(TaskID(i), i, TaskID(i+1), i+1)
-			}
-			for i := 0; i < 4; i++ {
-				id := TaskID(100 + i)
-				ex.AddTask(id, i, func(l *Location) { order.Store(id, seq.Add(1)) })
-			}
-		}
-		ex.Run()
-	})
-	// The chain must have executed in order.
-	var prev int64
-	for i := 0; i < 4; i++ {
-		v, ok := order.Load(TaskID(i))
-		if !ok {
-			t.Fatalf("task %d never ran", i)
-		}
-		if v.(int64) < prev {
-			t.Fatalf("task %d ran out of order", i)
-		}
-		prev = v.(int64)
-	}
-	for i := 0; i < 4; i++ {
-		if _, ok := order.Load(TaskID(100 + i)); !ok {
-			t.Fatalf("independent task %d never ran", 100+i)
-		}
-	}
-}
-
-func TestExecutorReset(t *testing.T) {
-	m := NewMachine(2, DefaultConfig())
-	m.Execute(func(loc *Location) {
-		ex := NewExecutor(loc)
-		loc.Barrier()
-		var n atomic.Int64
-		if loc.ID() == 0 {
-			ex.AddTask(1, 0, func(l *Location) { n.Add(1) })
-			ex.AddTask(2, 1, func(l *Location) { n.Add(1) })
-		}
-		ex.Run()
-		ex.Reset()
-		if loc.ID() == 0 {
-			ex.AddTask(1, 1, func(l *Location) { n.Add(1) })
-		}
-		ex.Run()
-	})
-}
-
 func TestPayloadBytes(t *testing.T) {
 	if PayloadBytes(5) != 8 {
 		t.Errorf("default payload size = %d, want 8", PayloadBytes(5))

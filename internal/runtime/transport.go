@@ -32,10 +32,6 @@ type Transport interface {
 	Deliver(src, dst int, batch []*rmiRequest)
 	// DeliverOne ships a single request (urgent / sync / bulk paths).
 	DeliverOne(src, dst int, req *rmiRequest)
-	// Flush nudges any transport-internal buffering for traffic issued by
-	// src.  The runtime's own aggregation buffers live above the transport;
-	// current transports deliver eagerly, so this is a no-op hook.
-	Flush(src int)
 	// Drain blocks until every delivered batch has reached its destination
 	// mailbox (wire transports: all frames acknowledged), or until the
 	// budget runs out, in which case it returns an error naming what never
@@ -151,7 +147,6 @@ func (t inprocTransport) DeliverOne(src, dst int, req *rmiRequest) {
 	t.m.locations[dst].inbox.push(req)
 }
 
-func (t inprocTransport) Flush(int)                      {}
 func (t inprocTransport) Drain(time.Duration) error      { return nil }
 func (t inprocTransport) Close() error                   { return nil }
 func (t inprocTransport) Name() string                   { return "inproc" }
@@ -486,8 +481,6 @@ func (t *wireTransport) claimBatch(hdr transport.BatchHeader, descs []transport.
 	}
 	return ws
 }
-
-func (t *wireTransport) Flush(int) {}
 
 func (t *wireTransport) Drain(budget time.Duration) error {
 	if td, ok := t.wire.(transport.TimedDrainer); ok {
