@@ -56,6 +56,10 @@ type Chaos struct {
 	mu    sync.Mutex
 	rng   *rand.Rand
 	count int64
+	// droppedLast holds the frames (by the address of their first byte: a frame is
+	// immutable and is retransmitted as the same slice) whose last pass through
+	// Send was dropped.  See Send.
+	droppedLast map[*byte]struct{}
 
 	onReconnect atomic.Pointer[func(src, dst int)]
 	inFlight    sync.WaitGroup
@@ -79,7 +83,7 @@ func NewChaos(inner Wire, cfg ChaosConfig) *Chaos {
 		// progress.
 		cfg.DropEvery = 2
 	}
-	return &Chaos{inner: inner, cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
+	return &Chaos{inner: inner, cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed)), droppedLast: map[*byte]struct{}{}}
 }
 
 // Start brings up the inner wire.
@@ -111,6 +115,19 @@ func (c *Chaos) Send(src, dst int, frame []byte) {
 	c.count++
 	n := c.count
 	drop := c.cfg.DropEvery > 0 && n%int64(c.cfg.DropEvery) == 0
+	if drop {
+		// No frame is dropped twice running.  The schedule is periodic and so
+		// is a resend round: when nothing else is moving and the unacknowledged
+		// window is a multiple of DropEvery frames long, every round puts the
+		// same frames on the drop slots, and without this the missing one is
+		// lost again each time, for ever.
+		if _, again := c.droppedLast[&frame[0]]; again {
+			delete(c.droppedLast, &frame[0])
+			drop = false
+		} else {
+			c.droppedLast[&frame[0]] = struct{}{}
+		}
+	}
 	dup := !drop && c.cfg.DuplicateEvery > 0 && n%int64(c.cfg.DuplicateEvery) == 0
 	delay := time.Duration(0)
 	if !drop && c.cfg.DelayEvery > 0 && n%int64(c.cfg.DelayEvery) == 0 && c.cfg.MaxDelay > 0 {

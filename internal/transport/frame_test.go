@@ -71,7 +71,7 @@ func TestBatchFrameRoundTrip(t *testing.T) {
 			}
 			// A frame and its envelope are sized before they are built: one
 			// allocation each, nothing grown, nothing left over.
-			if envelope := encodeRelData(tc.hdr.Seq, frame); cap(frame) != len(frame) || cap(envelope) != len(envelope) {
+			if envelope := encodeRelData(tc.hdr.Seq, 1<<40, frame); cap(frame) != len(frame) || cap(envelope) != len(envelope) {
 				t.Fatalf("frame %d of %d bytes used, envelope %d of %d: not sized exactly", len(frame), cap(frame), len(envelope), cap(envelope))
 			}
 			// The padding actually carried is capped.

@@ -120,7 +120,7 @@ func TestConformanceReplyFrame(t *testing.T) {
 	}
 }
 
-// PROTOCOL.md §5: the acknowledgement frame.
+// PROTOCOL.md §5: the stand-alone acknowledgement frame.
 func TestConformanceAckFrame(t *testing.T) {
 	want := []byte{
 		0x02, // frame kind: FrameAck
@@ -141,25 +141,41 @@ func TestConformanceAckFrame(t *testing.T) {
 	}
 }
 
-// PROTOCOL.md §5: the reliable data envelope wrapping an inner frame.
+// PROTOCOL.md §5: the reliable data envelope wrapping an inner frame, with
+// and without an acknowledgement of the reverse pair on board.
 func TestConformanceReliableEnvelope(t *testing.T) {
 	inner := []byte{0x01, 0x02, 0x03}
-	want := []byte{
-		0x01,             // envelope kind: FrameData
-		0x09,             // per-pair sequence number = 9 (uvarint)
-		0x03,             // inner frame blob length = 3 (uvarint)
-		0x01, 0x02, 0x03, // inner frame bytes, verbatim
-	}
-	got := encodeRelData(9, inner)
-	if !bytes.Equal(got, want) {
-		t.Fatalf("encoded envelope diverges from the spec example:\n got %x\nwant %x", got, want)
-	}
-	seq, din, err := decodeRelData(want)
-	if err != nil {
-		t.Fatalf("decoding the spec envelope: %v", err)
-	}
-	if seq != 9 || !bytes.Equal(din, inner) {
-		t.Fatalf("decoded envelope (seq %d, %x), want (9, %x)", seq, din, inner)
+	for _, tc := range []struct {
+		name string
+		ack  uint64
+		want []byte
+	}{
+		{"acknowledging the reverse pair through seq 41", 42, []byte{
+			0x01,             // envelope kind: FrameData
+			0x09,             // per-pair sequence number = 9 (uvarint)
+			0x2A,             // Ack = 42: every envelope of the REVERSE pair with seq <= 41 arrived
+			0x03,             // inner frame blob length = 3 (uvarint)
+			0x01, 0x02, 0x03, // inner frame bytes, verbatim
+		}},
+		{"nothing to acknowledge", 0, []byte{
+			0x01,             // envelope kind: FrameData
+			0x09,             // per-pair sequence number = 9
+			0x00,             // Ack = 0: nothing of the reverse pair has arrived
+			0x03,             // inner frame blob length = 3
+			0x01, 0x02, 0x03, // inner frame bytes, verbatim
+		}},
+	} {
+		got := encodeRelData(9, tc.ack, inner)
+		if !bytes.Equal(got, tc.want) {
+			t.Fatalf("%s: encoded envelope diverges from the spec example:\n got %x\nwant %x", tc.name, got, tc.want)
+		}
+		seq, ack, din, err := decodeRelData(tc.want)
+		if err != nil {
+			t.Fatalf("%s: decoding the spec envelope: %v", tc.name, err)
+		}
+		if seq != 9 || ack != tc.ack || !bytes.Equal(din, inner) {
+			t.Fatalf("%s: decoded envelope (seq %d, ack %d, %x), want (9, %d, %x)", tc.name, seq, ack, din, tc.ack, inner)
+		}
 	}
 }
 
@@ -212,5 +228,27 @@ func TestConformanceCorruptFramesRejected(t *testing.T) {
 	}
 	if _, _, _, err := DecodeAck([]byte{0x02, 0x01}); err == nil {
 		t.Error("truncated ack decoded without error")
+	}
+	// The envelope of §5, its acknowledgement field two bytes long: cut short
+	// at every byte it is a decode error, and so is anything after it.
+	envelope := encodeRelData(9, 300, []byte{0x01, 0x02, 0x03})
+	if seq, ack, inner, err := decodeRelData(envelope); err != nil || seq != 9 || ack != 300 || len(inner) != 3 {
+		t.Fatalf("control: (%d, %d, %x, %v)", seq, ack, inner, err)
+	}
+	for cut := 0; cut < len(envelope); cut++ {
+		if _, _, _, err := decodeRelData(envelope[:cut]); err == nil {
+			t.Errorf("envelope truncated to %d of %d bytes decoded without error", cut, len(envelope))
+		}
+	}
+	for name, frame := range map[string][]byte{
+		"trailing byte": append(append([]byte(nil), envelope...), 0x00),
+		"ack kind":      append([]byte{0x02}, envelope[1:]...),
+		// Eleven continuation bytes where the acknowledgement belongs: more
+		// than 64 bits' worth.
+		"over-long ack": {0x01, 0x09, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01, 0x00},
+	} {
+		if _, _, _, err := decodeRelData(frame); err == nil {
+			t.Errorf("%s: envelope decoded without error", name)
+		}
 	}
 }

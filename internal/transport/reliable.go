@@ -11,20 +11,28 @@ import (
 // Reliable restores the delivery guarantees the runtime's RMI semantics
 // need — per-(source, destination) FIFO order and exactly-once delivery —
 // on top of a Wire that may delay, duplicate or (after a signalled
-// connection drop) lose frames:
+// connection drop) lose frames (docs/PROTOCOL.md §5):
 //
 //   - every data frame carries a per-pair sequence number and is kept by
 //     the sender until acknowledged;
 //   - the receiver delivers strictly in sequence order, buffering frames
 //     that arrive early and discarding duplicates;
-//   - the receiver acknowledges cumulatively; acknowledged frames are
-//     released from the retransmit buffer;
+//   - acknowledgements are cumulative and ride on the data frames of the
+//     reverse pair: every envelope carries how far the pair running the other
+//     way has been delivered, so a reply acknowledges its request and the next
+//     request acknowledges the reply;
+//   - a stand-alone FrameAck is sent in three cases only: at once for a
+//     duplicate arrival, when ackEvery arrivals or ackBytes bytes of a pair
+//     have gone unacknowledged because nothing travelled the other way, and
+//     from Drain;
 //   - when the wire signals a reconnect for a pair, every unacknowledged
-//     frame of the pair is retransmitted in order.
+//     frame of the pair is retransmitted in order, byte for byte — with the
+//     acknowledgement it was first encoded with, which by then is stale and,
+//     being cumulative, releases nothing.
 //
-// Acknowledgements and retransmissions are control traffic (FrameAck /
-// re-sent FrameData); the chaos wrapper injects faults into first-class
-// data frames only, which is what makes the protocol's drain terminate.
+// Stand-alone acknowledgements are control traffic; the chaos wrapper injects
+// faults into data frames only, which is what makes the protocol's drain
+// terminate.
 type Reliable struct {
 	inner   Wire
 	n       int
@@ -33,12 +41,27 @@ type Reliable struct {
 	send []relSend
 	recv []relRecv
 
+	// draining is set while a DrainErr runs: every arrival is acknowledged at
+	// once and an acknowledgement that empties a window posts to emptied.
+	drainMu  sync.Mutex // one drain at a time: emptied has one reader
+	draining atomic.Bool
+	emptied  chan struct{}
+
 	dataFrames  atomic.Int64
 	acks        atomic.Int64
 	retransmits atomic.Int64
 	dupDropped  atomic.Int64
 	outOfOrder  atomic.Int64
 }
+
+// A pair's receiver sends a stand-alone acknowledgement once this many
+// arrivals, or this many bytes of inner frames, have been delivered without
+// an acknowledgement leaving on a reverse data frame.  They bound what a
+// sender must keep for a stream nothing answers (PROTOCOL.md §5).
+const (
+	ackEvery = 32
+	ackBytes = 1 << 20
+)
 
 type relSend struct {
 	mu   sync.Mutex
@@ -60,9 +83,28 @@ type relSend struct {
 }
 
 type relRecv struct {
-	mu       sync.Mutex
-	expected uint64
-	pending  map[uint64][]byte // early inner frames by sequence number
+	mu    sync.Mutex        // serialises delivery; held across the deliver callback
+	early map[uint64][]byte // inner frames that arrived ahead of their turn, by sequence number
+
+	// What the pair owes its sender.  These are atomics because Send
+	// piggy-backs from the reverse pair while onData may be holding mu across
+	// a callback that is itself sending: delivered and bytes are written under
+	// mu, the two marks by whoever lets an acknowledgement leave.
+	delivered  atomic.Uint64 // envelopes 0..delivered-1 were delivered: the next sequence expected
+	bytes      atomic.Uint64 // their inner frames' total size
+	ackedTo    atomic.Uint64 // delivered, as the last acknowledgement to leave carried it
+	ackedBytes atomic.Uint64 // bytes, at that moment
+}
+
+// ack returns the pair's acknowledgement field — 0 for nothing delivered,
+// otherwise the cumulative sequence plus one — and notes that it is leaving.
+// Two acknowledgements leaving at once may note the older value last; the
+// pair then owes one it has sent, and sends it again.
+func (rv *relRecv) ack() uint64 {
+	d := rv.delivered.Load()
+	rv.ackedTo.Store(d)
+	rv.ackedBytes.Store(rv.bytes.Load())
+	return d
 }
 
 // NewReliable wraps inner with the ordered exactly-once protocol for n
@@ -73,6 +115,8 @@ func NewReliable(inner Wire, n int) *Reliable {
 		n:     n,
 		send:  make([]relSend, n*n),
 		recv:  make([]relRecv, n*n),
+		// Capacity one: a wake-up posted between two waits is kept, later ones merge with it.
+		emptied: make(chan struct{}, 1),
 	}
 }
 
@@ -98,14 +142,14 @@ func (r *Reliable) OnWireError(fn func(err error)) {
 
 func (r *Reliable) pair(src, dst int) int { return src*r.n + dst }
 
-// Send assigns the frame its sequence number, files it for retransmission
-// and ships it.
+// Send assigns the frame its sequence number, stamps it with the reverse
+// pair's acknowledgement, files it for retransmission and ships it.
 func (r *Reliable) Send(src, dst int, frame []byte) {
 	s := &r.send[r.pair(src, dst)]
 	s.mu.Lock()
 	seq := s.next
 	s.next++
-	outer := encodeRelData(seq, frame)
+	outer := encodeRelData(seq, r.recv[r.pair(dst, src)].ack(), frame)
 	s.window = append(s.window, outer)
 	s.mu.Unlock()
 	r.dataFrames.Add(1)
@@ -121,63 +165,104 @@ func (r *Reliable) onFrame(src, dst int, frame []byte) {
 	case FrameData:
 		r.onData(src, dst, frame)
 	case FrameAck:
-		r.onAck(frame)
+		asrc, adst, cum, err := DecodeAck(frame)
+		if err != nil {
+			panic(fmt.Sprintf("transport: corrupt ack frame: %v", err))
+		}
+		r.release(asrc, adst, cum)
 	default:
 		panic(fmt.Sprintf("transport: reliable received unknown frame kind 0x%02x", frame[0]))
 	}
 }
 
 func (r *Reliable) onData(src, dst int, frame []byte) {
-	seq, inner, err := decodeRelData(frame)
+	seq, ack, inner, err := decodeRelData(frame)
 	if err != nil {
 		panic(fmt.Sprintf("transport: corrupt data frame from %d to %d: %v", src, dst, err))
 	}
+	if ack > 0 {
+		// Before the delivery, so a reply sent from the callback finds the
+		// window its request left.
+		r.release(dst, src, ack-1)
+	}
 	rv := &r.recv[r.pair(src, dst)]
 	rv.mu.Lock()
-	_, buffered := rv.pending[seq]
+	// Holding the pair's receive lock across the callbacks serialises
+	// delivery, so two wire goroutines cannot reorder consecutive frames.
+	expected := rv.delivered.Load()
+	_, buffered := rv.early[seq]
+	dup := seq < expected || buffered
 	switch {
-	case seq < rv.expected || buffered:
+	case dup:
 		r.dupDropped.Add(1)
+	case seq > expected:
+		r.outOfOrder.Add(1)
+		if rv.early == nil {
+			rv.early = make(map[uint64][]byte)
+		}
+		rv.early[seq] = inner
 	default:
-		if rv.pending == nil {
-			rv.pending = make(map[uint64][]byte)
-		}
-		if seq != rv.expected {
-			r.outOfOrder.Add(1)
-		}
-		rv.pending[seq] = inner
-		// Deliver the in-order run that is now available.  Holding the
-		// pair's receive lock across the callbacks serialises delivery, so
-		// two wire goroutines cannot reorder consecutive frames.
-		for {
-			next, ok := rv.pending[rv.expected]
+		// In turn: straight to the callback, then the run of early frames it
+		// unblocked, if any wait.
+		r.deliverNext(rv, src, dst, inner)
+		for len(rv.early) > 0 {
+			next, ok := rv.early[rv.delivered.Load()]
 			if !ok {
 				break
 			}
-			delete(rv.pending, rv.expected)
-			rv.expected++
-			r.deliver(src, dst, next)
+			delete(rv.early, rv.delivered.Load())
+			r.deliverNext(rv, src, dst, next)
 		}
 	}
-	cum := rv.expected
+	// A duplicate usually means an acknowledgement was lost, or raced a
+	// retransmission: answer it at once.  Otherwise the acknowledgement waits
+	// for a reverse data frame until the pair owes too much, or a drain wants
+	// every window empty.
+	delivered := rv.delivered.Load()
+	owed := delivered - rv.ackedTo.Load()
+	standAlone := dup && delivered > 0 || owed >= ackEvery ||
+		rv.bytes.Load()-rv.ackedBytes.Load() >= ackBytes || owed > 0 && r.draining.Load()
+	var cum uint64
+	if standAlone {
+		cum = rv.ack() - 1
+	}
 	rv.mu.Unlock()
-	if cum > 0 {
-		// Cumulative acknowledgement (also re-sent for duplicates, in case
-		// an earlier ack raced a retransmission).
-		r.acks.Add(1)
-		r.inner.Send(dst, src, EncodeAck(src, dst, cum-1))
+	if standAlone {
+		r.sendAck(src, dst, cum)
 	}
 }
 
-func (r *Reliable) onAck(frame []byte) {
-	src, dst, cum, err := DecodeAck(frame)
-	if err != nil {
-		panic(fmt.Sprintf("transport: corrupt ack frame: %v", err))
-	}
+// deliverNext hands the pair's next frame in sequence to the callback.  The
+// counts move first: a reply sent from the callback acknowledges the frame it
+// answers.  The caller holds rv.mu.
+func (r *Reliable) deliverNext(rv *relRecv, src, dst int, inner []byte) {
+	rv.bytes.Add(uint64(len(inner)))
+	rv.delivered.Add(1)
+	r.deliver(src, dst, inner)
+}
+
+// sendAck sends a stand-alone acknowledgement for the data pair src -> dst.
+func (r *Reliable) sendAck(src, dst int, cum uint64) {
+	r.acks.Add(1)
+	r.inner.Send(dst, src, EncodeAck(src, dst, cum))
+}
+
+// release applies a cumulative acknowledgement, stand-alone or piggy-backed,
+// to the window of the data pair src -> dst, and wakes a waiting drain when it
+// was the one that emptied the window.
+func (r *Reliable) release(src, dst int, cum uint64) {
 	s := &r.send[r.pair(src, dst)]
 	s.mu.Lock()
+	had := len(s.unacked())
 	s.release(cum)
+	emptied := had > 0 && len(s.unacked()) == 0
 	s.mu.Unlock()
+	if emptied && r.draining.Load() {
+		select {
+		case r.emptied <- struct{}{}:
+		default:
+		}
+	}
 }
 
 // unacked returns the pair's unacknowledged outer frames in sequence order (a
@@ -250,10 +335,11 @@ func (r *Reliable) resendUnacked(src, dst int) {
 // acknowledgements before failing fast with a protocol diagnostic.
 const drainTimeout = 60 * time.Second
 
-// Drain blocks until every sent frame has been acknowledged (hence
-// delivered, in order, exactly once) and the inner wire's queues are empty.
-// It panics when the protocol cannot converge within the default window; use
-// DrainErr to bound the wait and handle the failure as a value.
+// Drain sends every acknowledgement this side owes, then blocks until every
+// frame it sent has been acknowledged (hence delivered, in order, exactly
+// once) and the inner wire's queues are empty.  It panics when the protocol
+// cannot converge within the default window; use DrainErr to bound the wait and
+// handle the failure as a value.
 func (r *Reliable) Drain() {
 	if err := r.DrainErr(drainTimeout); err != nil {
 		panic(err.Error())
@@ -263,18 +349,32 @@ func (r *Reliable) Drain() {
 // DrainErr is Drain with an explicit budget and structured failure: it
 // returns nil once every sent frame is acknowledged and the inner wire's
 // queues are empty, or an error naming the stuck pairs when the budget runs
-// out (a dead peer, or an aborted run whose receivers went away).
+// out (a dead peer, or an aborted run whose receivers went away).  It sleeps
+// on the acknowledgement that empties a window, not on a timer.
 func (r *Reliable) DrainErr(timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
+	r.drainMu.Lock()
+	defer r.drainMu.Unlock()
+	// From here on arrivals are acknowledged as they come; what arrived before
+	// is acknowledged now.
+	r.draining.Store(true)
+	defer r.draining.Store(false)
+	for i := range r.recv {
+		if rv := &r.recv[i]; rv.delivered.Load() != rv.ackedTo.Load() {
+			r.sendAck(i/r.n, i%r.n, rv.ack()-1)
+		}
+	}
+	deadline := time.NewTimer(timeout)
+	defer deadline.Stop()
 	for {
 		r.inner.Drain()
 		if r.allAcked() {
 			return nil
 		}
-		if time.Now().After(deadline) {
+		select {
+		case <-r.emptied:
+		case <-deadline.C:
 			return fmt.Errorf("transport: reliable drain stuck after %v:%s", timeout, r.describeUnacked())
 		}
-		time.Sleep(200 * time.Microsecond)
 	}
 }
 
@@ -327,29 +427,33 @@ func (r *Reliable) WireStats() WireStats {
 }
 
 // encodeRelData wraps an inner frame with the reliable envelope: one
-// allocation of the envelope's exact size, one copy of the frame.
-func encodeRelData(seq uint64, inner []byte) []byte {
-	b := Buffer{buf: make([]byte, 0, 1+uvarintLen(seq)+uvarintLen(uint64(len(inner)))+len(inner))}
+// allocation of the envelope's exact size, one copy of the frame.  ack is the
+// reverse pair's acknowledgement field (relRecv.ack), written here and never
+// again: a stored envelope is retransmitted as it is.
+func encodeRelData(seq, ack uint64, inner []byte) []byte {
+	b := Buffer{buf: make([]byte, 0, 1+uvarintLen(seq)+uvarintLen(ack)+uvarintLen(uint64(len(inner)))+len(inner))}
 	b.PutU8(FrameData)
 	b.PutUvarint(seq)
+	b.PutUvarint(ack)
 	b.PutBlob(inner)
 	return b.buf
 }
 
 // decodeRelData strips the reliable envelope.  The inner frame is a view into
 // the envelope, not a copy.
-func decodeRelData(frame []byte) (seq uint64, inner []byte, err error) {
+func decodeRelData(frame []byte) (seq, ack uint64, inner []byte, err error) {
 	b := Buffer{buf: frame}
 	if kind := b.U8(); kind != FrameData {
-		return 0, nil, fmt.Errorf("expected data envelope, got kind 0x%02x", kind)
+		return 0, 0, nil, fmt.Errorf("expected data envelope, got kind 0x%02x", kind)
 	}
 	seq = b.Uvarint()
+	ack = b.Uvarint()
 	inner = b.view()
 	if err := b.Err(); err != nil {
-		return 0, nil, err
+		return 0, 0, nil, err
 	}
 	if b.Remaining() != 0 {
-		return 0, nil, fmt.Errorf("%d trailing bytes after data envelope", b.Remaining())
+		return 0, 0, nil, fmt.Errorf("%d trailing bytes after data envelope", b.Remaining())
 	}
-	return seq, inner, nil
+	return seq, ack, inner, nil
 }

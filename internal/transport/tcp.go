@@ -16,10 +16,11 @@ import (
 // TCPWire moves frames over real kernel TCP sockets on the loopback
 // interface: every endpoint owns a listener, and each (source, destination)
 // pair that exchanges traffic gets its own connection with an unbounded
-// outgoing queue and a dedicated writer goroutine (batched writes through a
-// buffered writer, flushed whenever the queue runs dry).  Frames are
-// length-prefixed; a connection opens with an 8-byte (src, dst) handshake so
-// the acceptor can attribute everything it reads.
+// outgoing queue and a dedicated writer goroutine, which dials the connection
+// and then writes in batches through a buffered writer, flushed whenever the
+// queue runs dry.  Frames are length-prefixed; a connection opens with an
+// 8-byte (src, dst) handshake so the acceptor can attribute everything it
+// reads.
 //
 // In-process the sockets never fail outside Close, so a bare TCPWire is
 // ordered and lossless per pair; the runtime still layers Reliable on top so
@@ -39,8 +40,10 @@ type TCPWire struct {
 	mu        sync.Mutex
 	listeners []net.Listener
 	addrs     []string
-	out       map[int]*outConn // key src*n+dst
 	closed    bool
+	// out holds the sending half of every pair that has sent, at src*n+dst.  A
+	// slot is filled once, under mu, and read without it.
+	out []atomic.Pointer[outConn]
 
 	accepting sync.WaitGroup
 	reading   sync.WaitGroup
@@ -59,22 +62,21 @@ type TCPWire struct {
 	errSink atomic.Pointer[func(err error)]
 }
 
-// outConn is the sending half of one (src, dst) pair: a connection plus its
-// outgoing queue.
+// outConn is the sending half of one (src, dst) pair: the outgoing queue of a
+// connection its writer goroutine owns.
 type outConn struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	queue   [][]byte
 	writing bool // writer holds frames it has not flushed yet
 	closed  bool
-	conn    net.Conn
 }
 
 // NewTCP builds a TCP loopback wire between n endpoints, all local to this
 // process.  Listeners are opened by Start; connections are dialled lazily on
 // first send.
 func NewTCP(n int) *TCPWire {
-	return &TCPWire{n: n, self: -1, out: make(map[int]*outConn)}
+	return &TCPWire{n: n, self: -1, out: make([]atomic.Pointer[outConn], n*n)}
 }
 
 // NewTCPMesh builds the multi-process variant: a wire for n endpoints of
@@ -85,7 +87,9 @@ func NewTCPMesh(n, self int) *TCPWire {
 	if self < 0 || self >= n {
 		panic(fmt.Sprintf("transport: tcp mesh endpoint %d outside [0,%d)", self, n))
 	}
-	return &TCPWire{n: n, self: self, out: make(map[int]*outConn)}
+	w := NewTCP(n)
+	w.self = self
+	return w
 }
 
 // Start opens the loopback listeners (one per endpoint, or only self's in
@@ -198,8 +202,8 @@ func (w *TCPWire) readLoop(conn net.Conn) {
 	}
 }
 
-// Send queues the frame on the pair's connection, dialling it first if
-// needed.
+// Send queues the frame on the pair's connection; the first frame of a pair
+// starts its writer, which dials.  Send never waits for a dial.
 func (w *TCPWire) Send(src, dst int, frame []byte) {
 	if src == dst {
 		panic("transport: tcp wire asked to send to self (the runtime shortcuts local requests)")
@@ -243,11 +247,11 @@ func (w *TCPWire) reportError(err error) {
 	panic(err.Error())
 }
 
-// dial connects to dst with jittered exponential backoff, retrying transient
-// refusals while the peer's listener comes up.
-func (w *TCPWire) dial(src, dst int) (net.Conn, error) {
+// dial connects to dst's listener at addr with jittered exponential backoff,
+// retrying transient refusals while the peer's listener comes up.
+func (w *TCPWire) dial(src, dst int, addr string) (net.Conn, error) {
 	var lastErr error
-	if w.addrs[dst] == "" {
+	if addr == "" {
 		return nil, fmt.Errorf("transport: tcp mesh endpoint %d has no address for %d (SetPeerAddrs not called?)", w.self, dst)
 	}
 	backoff := dialBackoffBase
@@ -262,7 +266,7 @@ func (w *TCPWire) dial(src, dst int) (net.Conn, error) {
 				backoff = dialBackoffCap
 			}
 		}
-		c, err := net.Dial("tcp", w.addrs[dst])
+		c, err := net.Dial("tcp", addr)
 		if err != nil {
 			lastErr = err
 			continue
@@ -277,45 +281,68 @@ func (w *TCPWire) dial(src, dst int) (net.Conn, error) {
 		}
 		return c, nil
 	}
-	return nil, fmt.Errorf("transport: tcp dial %d->%d (%s) failed after %d attempts: %w", src, dst, w.addrs[dst], dialAttempts, lastErr)
+	return nil, fmt.Errorf("transport: tcp dial %d->%d (%s) failed after %d attempts: %w", src, dst, addr, dialAttempts, lastErr)
 }
 
-// conn returns the outgoing connection for the pair, dialling and spawning
-// its writer on first use.  Returns nil when the wire is closed or the dial
-// retries were exhausted (with the failure reported through the error sink).
+// conn returns the pair's sending half: a table read once the pair has sent.
+// The pair's first call files the queue and starts its writer under the
+// wire's lock; the dial is the writer's, so a peer whose listener is late holds
+// up its own pair and nobody else's.  Returns nil when the wire is closed.
 func (w *TCPWire) conn(src, dst int) *outConn {
-	key := src*w.n + dst
+	slot := &w.out[src*w.n+dst]
+	if oc := slot.Load(); oc != nil {
+		return oc
+	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
 		return nil
 	}
-	if oc, ok := w.out[key]; ok {
+	if oc := slot.Load(); oc != nil {
 		return oc
 	}
 	if w.deliver == nil {
 		panic("transport: tcp wire used before Start")
 	}
-	c, err := w.dial(src, dst)
-	if err != nil {
-		w.reportError(err)
-		return nil
-	}
-	oc := &outConn{conn: c}
+	oc := &outConn{}
 	oc.cond = sync.NewCond(&oc.mu)
-	w.out[key] = oc
+	slot.Store(oc)
 	w.writing.Add(1)
-	go w.writeLoop(oc)
+	go w.writeLoop(oc, src, dst, w.addrs[dst])
 	return oc
 }
 
-// writeLoop drains the pair's queue into the socket, flushing whenever the
-// queue runs dry (the per-connection batching that keeps frame writes off
-// the senders' critical path).
-func (w *TCPWire) writeLoop(oc *outConn) {
+// conns lists the sending halves filed so far.
+func (w *TCPWire) conns() []*outConn {
+	var out []*outConn
+	for i := range w.out {
+		if oc := w.out[i].Load(); oc != nil {
+			out = append(out, oc)
+		}
+	}
+	return out
+}
+
+// writeLoop dials the pair's connection, then drains the pair's queue into
+// the socket, flushing whenever the queue runs dry (the per-connection
+// batching that keeps frame writes off the senders' critical path).  Frames
+// sent while the dial was retrying wait in the queue; when the retries are
+// exhausted the failure goes to the error sink and the pair drops what it
+// holds and whatever is sent to it later.
+func (w *TCPWire) writeLoop(oc *outConn, src, dst int, addr string) {
 	defer w.writing.Done()
-	bw := bufio.NewWriterSize(oc.conn, 1<<16)
+	c, err := w.dial(src, dst, addr)
+	if err != nil {
+		w.dropRest(oc)
+		w.reportError(err)
+		return
+	}
+	defer c.Close()
+	bw := bufio.NewWriterSize(c, 1<<16)
 	var lenb [4]byte
+	// Two slices change hands: while the writer works through one batch the
+	// senders fill the other, so neither side allocates in the steady state.
+	var batch [][]byte
 	for {
 		oc.mu.Lock()
 		for len(oc.queue) == 0 && !oc.closed {
@@ -325,8 +352,7 @@ func (w *TCPWire) writeLoop(oc *outConn) {
 			oc.mu.Unlock()
 			return
 		}
-		batch := oc.queue
-		oc.queue = nil
+		batch, oc.queue = oc.queue, batch[:0]
 		oc.writing = true
 		oc.mu.Unlock()
 		for _, frame := range batch {
@@ -346,6 +372,7 @@ func (w *TCPWire) writeLoop(oc *outConn) {
 			w.writeFailed(oc, err)
 			return
 		}
+		clear(batch) // written frames are not the queue's to keep alive
 		oc.mu.Lock()
 		oc.writing = false
 		oc.cond.Broadcast()
@@ -370,8 +397,9 @@ func (w *TCPWire) writeFailed(oc *outConn, err error) {
 	w.dropRest(oc)
 }
 
-// dropRest marks a connection dead after a write error (which in-process
-// only happens once Close tore the peer down); queued frames are dropped.
+// dropRest marks a pair dead — after a write error (which in-process only
+// happens once Close tore the peer down) or a dial that gave up; queued
+// frames are dropped, and so is whatever is sent to the pair afterwards.
 func (w *TCPWire) dropRest(oc *outConn) {
 	oc.mu.Lock()
 	oc.closed = true
@@ -385,13 +413,7 @@ func (w *TCPWire) dropRest(oc *outConn) {
 // socket.  End-to-end delivery is the Reliable layer's job; Drain only
 // guarantees the sending side is empty.
 func (w *TCPWire) Drain() {
-	w.mu.Lock()
-	conns := make([]*outConn, 0, len(w.out))
-	for _, oc := range w.out {
-		conns = append(conns, oc)
-	}
-	w.mu.Unlock()
-	for _, oc := range conns {
+	for _, oc := range w.conns() {
 		oc.mu.Lock()
 		for (len(oc.queue) > 0 || oc.writing) && !oc.closed {
 			oc.cond.Wait()
@@ -410,10 +432,7 @@ func (w *TCPWire) Close() error {
 	}
 	w.closed = true
 	listeners := w.listeners
-	conns := make([]*outConn, 0, len(w.out))
-	for _, oc := range w.out {
-		conns = append(conns, oc)
-	}
+	conns := w.conns() // complete: a slot is filled under mu, and closed is set
 	w.mu.Unlock()
 
 	// Let writers drain what is already queued, then stop them.
@@ -426,10 +445,7 @@ func (w *TCPWire) Close() error {
 		oc.cond.Broadcast()
 		oc.mu.Unlock()
 	}
-	w.writing.Wait()
-	for _, oc := range conns {
-		oc.conn.Close()
-	}
+	w.writing.Wait() // each writer closes its connection on the way out
 	for _, ln := range listeners {
 		if ln != nil {
 			ln.Close()

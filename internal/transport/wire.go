@@ -19,7 +19,10 @@ type DeliverFunc func(src, dst int, frame []byte)
 //	Send    — queue one frame for delivery from src to dst (never blocks on
 //	          the receiver)
 //	Drain   — block until every queued frame has left the sender (flushed
-//	          to the socket / handed to the deliver callback)
+//	          to the socket / handed to the deliver callback).  Reliable's
+//	          Drain promises more: it sends every acknowledgement this side
+//	          owes, then returns once every frame sent before the call was
+//	          acknowledged — delivered, in order, exactly once
 //	Close   — release sockets, queues and goroutines; Send afterwards is a
 //	          silent drop
 //
@@ -61,7 +64,7 @@ type WireStats struct {
 	DialRetries int64
 	// Reliability protocol (Reliable layer).
 	DataFrames        int64 // data frames first-sent (retransmits excluded)
-	Acks              int64 // acknowledgement frames sent
+	Acks              int64 // stand-alone ack frames sent (acknowledgements riding on data frames are not counted)
 	Retransmits       int64 // data frames re-sent after a reconnect signal
 	DuplicatesDropped int64 // received data frames discarded as duplicates
 	OutOfOrder        int64 // received data frames buffered for reordering
