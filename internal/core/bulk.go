@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/partition"
+	"repro/internal/runtime"
 	"repro/internal/transport"
 )
 
@@ -27,16 +28,20 @@ import (
 
 // bulkTracker counts the outstanding element operations of one synchronous
 // bulk call.  Remote handlers (and forwarded stragglers) decrement it as they
-// apply their groups; the issuing goroutine blocks on done.
+// apply their groups; the issuing goroutine is parked on w.  Pooled; a caller
+// the machine's abort unwound leaves its tracker to the collector
+// (runtime.Waiter says why).
 type bulkTracker struct {
 	remaining atomic.Int64
-	done      chan struct{}
+	w         runtime.Waiter
 }
 
-// complete retires n element operations, closing done on the last one.
+var bulkTrackers = sync.Pool{New: func() any { return &bulkTracker{w: runtime.MakeWaiter()} }}
+
+// complete retires n element operations, waking the caller on the last one.
 func (t *bulkTracker) complete(n int) {
 	if t.remaining.Add(-int64(n)) == 0 {
-		close(t.done)
+		t.w.Wake()
 	}
 }
 
@@ -166,7 +171,7 @@ func (o *ElemOp[G, B, A, R]) bulk(c *Container[G, B], gids []G, args []A, one A,
 		o.walk(c, &g)
 		return
 	}
-	tr := &bulkTracker{done: make(chan struct{})}
+	tr := bulkTrackers.Get().(*bulkTracker)
 	tr.remaining.Store(int64(len(gids)))
 	g.tr = tr
 	if c.loc.OpCrossesByValue(o.group) {
@@ -189,7 +194,8 @@ func (o *ElemOp[G, B, A, R]) bulk(c *Container[G, B], gids []G, args []A, one A,
 		defer c.loc.UnregisterToken(g.token)
 	}
 	o.walk(c, &g)
-	c.loc.WaitDone(tr.done)
+	c.loc.Wait(&tr.w)
+	bulkTrackers.Put(tr)
 }
 
 // bulkGroup is one destination's (or one local base container's) share of a
@@ -197,17 +203,31 @@ func (o *ElemOp[G, B, A, R]) bulk(c *Container[G, B], gids []G, args []A, one A,
 type bulkGroup struct {
 	dest int
 	bcid partition.BCID // >= 0 marks a local group; -1 a shipped one
-	idxs []int          // pooled; recycled by the walk
+	idxs []int          // the scratch slot's, kept from walk to walk
 }
 
 // bulkScratch is the reusable working state of one bulk walk: the per-element
-// resolution table and the group list built from it.  Group counts are small
-// (a handful of base containers locally, at most P-1 destinations remotely),
-// so groups are found by linear search instead of map lookups — no hashing,
-// no per-call map allocation.
+// resolution table and the group list built from it, index slices included —
+// a group slot keeps its slice for the next walk that gets this scratch.
+// Group counts are small (a handful of base containers locally, at most P-1
+// destinations remotely), so groups are found by linear search instead of map
+// lookups — no hashing, no per-call map allocation.
 type bulkScratch struct {
 	targets []Placement
 	groups  []bulkGroup
+}
+
+// addGroup opens a group for (dest, bcid) in the next slot, reusing the index
+// slice an earlier walk left there.
+func (s *bulkScratch) addGroup(dest int, bcid partition.BCID) {
+	n := len(s.groups)
+	if n < cap(s.groups) {
+		s.groups = s.groups[:n+1]
+	} else {
+		s.groups = append(s.groups, bulkGroup{})
+	}
+	g := &s.groups[n]
+	g.dest, g.bcid, g.idxs = dest, bcid, g.idxs[:0]
 }
 
 var bulkScratchPool = sync.Pool{New: func() any { return new(bulkScratch) }}
@@ -222,19 +242,10 @@ func getBulkScratch(n int) *bulkScratch {
 	return s
 }
 
-// bulkIdxPool recycles the group index slices.
-var bulkIdxPool = sync.Pool{New: func() any { return make([]int, 0, 64) }}
-
-func putBulkIdxs(idxs []int) {
-	//lint:ignore SA6002 the slice header is what we pool; its backing array
-	// is reused, so the boxed header allocation is amortised.
-	bulkIdxPool.Put(idxs[:0])
-}
-
 // resolveGroups is the resolution step of a bulk walk: it resolves every
 // element of gids under one metadata bracket and groups them by owner.  Each
-// group lists positions into gids.  The returned scratch (and the group index
-// slices it holds) belongs to the caller, who recycles both.
+// group lists positions into gids.  The returned scratch belongs to the
+// caller, who recycles it.
 func (c *Container[G, B]) resolveGroups(gids []G, hops int) *bulkScratch {
 	if hops > maxForwardHops {
 		panic(fmt.Sprintf("core: bulk invocation for GID %v and %d more forwarded more than %d times", gids[0], len(gids)-1, maxForwardHops))
@@ -290,7 +301,7 @@ func (c *Container[G, B]) resolveGroups(gids []G, hops int) *bulkScratch {
 				}
 			}
 			if last < 0 {
-				s.groups = append(s.groups, bulkGroup{dest: t.Dest, bcid: key, idxs: bulkIdxPool.Get().([]int)[:0]})
+				s.addGroup(t.Dest, key)
 				last = len(s.groups) - 1
 			}
 		}
@@ -320,8 +331,6 @@ func (o *ElemOp[G, B, A, R]) walk(c *Container[G, B], g *group[G, A, R]) {
 		} else {
 			o.shipGroup(c, grp.dest, g, grp.idxs)
 		}
-		putBulkIdxs(grp.idxs)
-		grp.idxs = nil
 	}
 	bulkScratchPool.Put(s)
 }

@@ -81,7 +81,7 @@ func recordCodecsRoundTrip[G, A, R any](t *testing.T, name string, gidC transpor
 
 			_, arg, _ := gen(r)
 			gid, _, _ := gen(r)
-			a := &elemRec[G, A]{gid: gid, arg: arg, bytes: r.Intn(100), hops: 1 + r.Intn(3), token: token}
+			a := &elemRec[G, A, R]{gid: gid, arg: arg, bytes: r.Intn(100), hops: 1 + r.Intn(3), token: token}
 			if token != 0 {
 				a.origin = r.Intn(8)
 			}

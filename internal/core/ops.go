@@ -27,11 +27,13 @@ import (
 // same RMI flavour, same simulated byte sizes, same reply accounting on every
 // transport (the counter-identity invariant the equivalence suite pins).
 //
-// A result cannot carry a *Future through bytes: when the registry says a
-// request crosses by value (Location.OpCrossesByValue) the origin parks a
-// completion callback under a per-location token and the owner answers with
-// Location.ReplyOp.  Otherwise the record reaches the handler by pointer and
-// the future (or bulk tracker) rides inside it.
+// Where a result goes is the caller's flavour: a blocking caller's typed result
+// cell, a split-phase caller's Future, a bulk gather's tracker.  None of them
+// can cross a wire as bytes: when the registry says a request crosses by value
+// (Location.OpCrossesByValue) the origin parks a completion callback under a
+// per-location token and the owner answers with Location.ReplyOp.  Otherwise
+// the record reaches the handler by pointer and the cell (or future, or
+// tracker) rides inside it.
 
 // OncePerType memoises build's result under V's own type.  Generic code that
 // must register something exactly once per instantiation (operation names
@@ -70,30 +72,51 @@ type ElemOp[G any, B BContainer, A any, R any] struct {
 	// elem and group are the operations the element record and the group
 	// record travel under; zero when that form was not registered.
 	elem, group runtime.OpID
-	// The operation's own record pools (of *elemRec[G, A], *group[G, A, R] and
-	// *groupRet[R]): an operation is one per instantiation, so the pools are
-	// typed without a type parameter to key them by.
-	recs, groups, rets sync.Pool
+	// The operation's own record pools (of *elemRec[G, A, R], *group[G, A, R],
+	// *groupRet[R] and *result[R]): an operation is one per instantiation, so
+	// the pools are typed without a type parameter to key them by.
+	recs, groups, rets, results sync.Pool
+	// retBytes is the simulated marshalled size of a reply, resolved once for R.
+	retBytes func(R) int
+}
+
+// result is where a blocking caller waits for its R: the owner's hop — or, for
+// a request that crossed by value, the origin's token callback — stores the
+// value in place and wakes the caller: no future, no channel, no boxed value.
+// Pooled per operation; a caller the machine's abort unwound leaves its cell to
+// the collector (runtime.Waiter says why).
+type result[R any] struct {
+	w runtime.Waiter
+	v R
+}
+
+func (res *result[R]) set(v R) {
+	res.v = v
+	res.w.Wake()
 }
 
 // elemRec is one element operation in flight.  Ownership follows the request:
 // the hop that applies it recycles it, a shipped record belongs to the
 // destination handler (in-process or rendezvous delivery) or is recycled by
 // the wire adapter after encoding.
-type elemRec[G any, A any] struct {
+type elemRec[G any, A any, R any] struct {
 	gid   G
 	arg   A
 	mode  AccessMode // never encoded: a decoded record takes its operation's
 	bytes int
 	hops  int
-	// Where the result goes: fut when the record travels by pointer, (origin,
-	// token) when it crosses by value; neither marks an asynchronous request.
+	// Where the result goes: res (a blocking caller) or fut (a split-phase one)
+	// when the record travels by pointer, (origin, token) when it crosses by
+	// value; none of them marks an asynchronous request.
 	origin int
 	token  uint64
+	res    *result[R]      // never encoded
 	fut    *runtime.Future // never encoded
 }
 
-func (a *elemRec[G, A]) wantsReply() bool { return a.fut != nil || a.token != 0 }
+func (a *elemRec[G, A, R]) wantsReply() bool {
+	return a.res != nil || a.fut != nil || a.token != 0
+}
 
 // groupRet is one bulk reply: a shipped group's results with their positions
 // in the origin's result slice.  The origin's completion callback recycles the
@@ -104,8 +127,8 @@ type groupRet[R any] struct {
 	vals []R
 }
 
-func (o *ElemOp[G, B, A, R]) putRec(a *elemRec[G, A]) {
-	*a = elemRec[G, A]{}
+func (o *ElemOp[G, B, A, R]) putRec(a *elemRec[G, A, R]) {
+	*a = elemRec[G, A, R]{}
 	o.recs.Put(a)
 }
 
@@ -114,11 +137,11 @@ func (o *ElemOp[G, B, A, R]) putRet(r *groupRet[R]) {
 	o.rets.Put(r)
 }
 
-// elemCodec marshals an element record.  fut never travels; the origin does
-// only behind a token.
-func (o *ElemOp[G, B, A, R]) elemCodec(name string, gidCodec transport.Codec[G], argCodec transport.Codec[A]) transport.Codec[*elemRec[G, A]] {
+// elemCodec marshals an element record.  res and fut never travel; the origin
+// does only behind a token.
+func (o *ElemOp[G, B, A, R]) elemCodec(name string, gidCodec transport.Codec[G], argCodec transport.Codec[A]) transport.Codec[*elemRec[G, A, R]] {
 	return transport.Derive(name+"-args",
-		func(b *transport.Buffer, a *elemRec[G, A]) {
+		func(b *transport.Buffer, a *elemRec[G, A, R]) {
 			gidCodec.Encode(b, a.gid)
 			argCodec.Encode(b, a.arg)
 			b.PutVarint(int64(a.bytes))
@@ -128,8 +151,8 @@ func (o *ElemOp[G, B, A, R]) elemCodec(name string, gidCodec transport.Codec[G],
 				b.PutVarint(int64(a.origin))
 			}
 		},
-		func(b *transport.Buffer) *elemRec[G, A] {
-			a := o.recs.Get().(*elemRec[G, A])
+		func(b *transport.Buffer) *elemRec[G, A, R] {
+			a := o.recs.Get().(*elemRec[G, A, R])
 			a.gid, a.arg, a.mode = gidCodec.Decode(b), argCodec.Decode(b), o.mode
 			a.bytes, a.hops = int(b.Varint()), int(b.Varint())
 			if a.token = b.Uvarint(); a.token != 0 {
@@ -202,13 +225,14 @@ func newElemOp[G any, B BContainer, A any, R any](
 	gidCodec transport.Codec[G], argCodec transport.Codec[A], retCodec transport.Codec[R],
 	apply func(loc *runtime.Location, bc B, gid G, arg A, k int) R,
 ) *ElemOp[G, B, A, R] {
-	o := &ElemOp[G, B, A, R]{mode: mode, apply: apply}
-	o.recs.New = func() any { return new(elemRec[G, A]) }
+	o := &ElemOp[G, B, A, R]{mode: mode, apply: apply, retBytes: runtime.SizerFor[R]()}
+	o.recs.New = func() any { return new(elemRec[G, A, R]) }
 	o.groups.New = func() any { return new(group[G, A, R]) }
 	o.rets.New = func() any { return new(groupRet[R]) }
+	o.results.New = func() any { return &result[R]{w: runtime.MakeWaiter()} }
 	if elemName != "" {
 		o.elem = runtime.RegisterOpRet(elemName, o.elemCodec(elemName, gidCodec, argCodec), retCodec,
-			func(obj any, _ *runtime.Location, a *elemRec[G, A]) { o.hop(obj.(*Container[G, B]), a) },
+			func(obj any, _ *runtime.Location, a *elemRec[G, A, R]) { o.hop(obj.(*Container[G, B]), a) },
 			o.putRec, nil)
 	}
 	if groupName != "" {
@@ -226,7 +250,7 @@ func newElemOp[G any, B BContainer, A any, R any](
 // local is the step every flavour and every hop starts from: resolve gid once
 // (enter) and, when its base container is stored here, apply the operation in
 // place inside the data bracket — a local element method costs that and
-// nothing else: no record, no future, no counter.  Otherwise dest is the
+// nothing else: no record, no result cell, no counter.  Otherwise dest is the
 // location to continue at.
 func (o *ElemOp[G, B, A, R]) local(c *Container[G, B], gid G, mode AccessMode, arg A, hops int) (r R, dest int, done bool) {
 	bc, bcid, dest, done := c.enter(gid, mode, hops)
@@ -253,7 +277,7 @@ func (o *ElemOp[G, B, A, R]) async(c *Container[G, B], gid G, mode AccessMode, a
 		return
 	}
 	if _, dest, done := o.local(c, gid, mode, arg, 0); !done {
-		o.issue(c, dest, gid, mode, arg, bytes, nil)
+		o.send(c, dest, o.newRec(gid, mode, arg, bytes))
 	}
 }
 
@@ -265,11 +289,29 @@ func (o *ElemOp[G, B, A, R]) Sync(c *Container[G, B], gid G, arg A) R {
 
 func (o *ElemOp[G, B, A, R]) sync(c *Container[G, B], gid G, mode AccessMode, arg A) R {
 	r, dest, done := o.local(c, gid, mode, arg, 0)
-	if !done {
-		// Comma-ok: a closure instance's R is `any`, and a nil result does not
-		// assert to it.
-		r, _ = o.issue(c, dest, gid, mode, arg, 0, c.loc.NewAbortableFuture()).Get().(R)
+	if done {
+		return r
 	}
+	a, res := o.newRec(gid, mode, arg, 0), o.results.Get().(*result[R])
+	if c.loc.OpCrossesByValue(o.elem) {
+		a.origin = c.loc.ID()
+		a.token = c.loc.RegisterToken(func(v any) bool {
+			// Comma-ok: a closure instance's R is `any`, and a nil result does
+			// not assert to it.
+			r, _ := v.(R)
+			res.set(r)
+			return true
+		})
+	} else {
+		a.res = res
+	}
+	o.send(c, dest, a)
+	// Wait unwinds if the machine aborts — the answer died with a faulting
+	// handler — and the cell is then not pooled.
+	c.loc.Wait(&res.w)
+	var none R
+	r, res.v = res.v, none
+	o.results.Put(res)
 	return r
 }
 
@@ -286,36 +328,34 @@ func (o *ElemOp[G, B, A, R]) split(c *Container[G, B], gid G, mode AccessMode, a
 		fut.Complete(r)
 		return fut
 	}
-	return o.issue(c, dest, gid, mode, arg, 0, c.loc.NewAbortableFuture())
-}
-
-// issue builds the element record of a request local could not serve and
-// sends it to dest, the location local resolved, as hop 1.  fut receives the
-// result (nil for an asynchronous request) and is returned; it is wired to the
-// machine's abort, so a Get whose answer died with a faulting handler unwinds
-// instead of blocking.
-func (o *ElemOp[G, B, A, R]) issue(c *Container[G, B], dest int, gid G, mode AccessMode, arg A, bytes int, fut *runtime.Future) *runtime.Future {
-	a := o.recs.Get().(*elemRec[G, A])
-	a.gid, a.arg, a.mode, a.bytes, a.hops = gid, arg, mode, bytes, 1
-	switch {
-	case fut == nil:
-	case c.loc.OpCrossesByValue(o.elem):
+	// Wired to the machine's abort, so a Get whose answer died with a faulting
+	// handler unwinds instead of blocking.
+	a, fut := o.newRec(gid, mode, arg, 0), c.loc.NewAbortableFuture()
+	if c.loc.OpCrossesByValue(o.elem) {
 		a.origin = c.loc.ID()
 		a.token = c.loc.RegisterToken(func(v any) bool {
 			fut.Complete(v)
 			return true
 		})
-	default:
+	} else {
 		a.fut = fut
 	}
 	o.send(c, dest, a)
 	return fut
 }
 
+// newRec builds the element record of a request local could not serve: hop 1,
+// on its way to the location local resolved.
+func (o *ElemOp[G, B, A, R]) newRec(gid G, mode AccessMode, arg A, bytes int) *elemRec[G, A, R] {
+	a := o.recs.Get().(*elemRec[G, A, R])
+	a.gid, a.arg, a.mode, a.bytes, a.hops = gid, arg, mode, bytes, 1
+	return a
+}
+
 // send is the one place an element record leaves a location.  A request whose
 // result someone may be blocked on bypasses the aggregation buffer (earlier
 // buffered requests to dest are flushed first, so per-pair FIFO holds).
-func (o *ElemOp[G, B, A, R]) send(c *Container[G, B], dest int, a *elemRec[G, A]) {
+func (o *ElemOp[G, B, A, R]) send(c *Container[G, B], dest int, a *elemRec[G, A, R]) {
 	if a.wantsReply() {
 		c.loc.AsyncRMIUrgentOp(dest, c.handle, o.elem, a)
 	} else {
@@ -328,7 +368,7 @@ func (o *ElemOp[G, B, A, R]) send(c *Container[G, B], dest int, a *elemRec[G, A]
 // home — one response message carrying the marshalled value — and the record
 // recycled; anywhere else (the sender only knew a hint, or the element moved)
 // the record travels onward, the paper's method forwarding.
-func (o *ElemOp[G, B, A, R]) hop(c *Container[G, B], a *elemRec[G, A]) {
+func (o *ElemOp[G, B, A, R]) hop(c *Container[G, B], a *elemRec[G, A, R]) {
 	r, dest, done := o.local(c, a.gid, a.mode, a.arg, a.hops)
 	if !done {
 		a.hops++
@@ -336,12 +376,14 @@ func (o *ElemOp[G, B, A, R]) hop(c *Container[G, B], a *elemRec[G, A]) {
 		return
 	}
 	if a.wantsReply() {
-		var v any = r
-		c.loc.AccountReply(runtime.PayloadBytes(v))
-		if a.fut != nil {
-			a.fut.Complete(v)
-		} else {
-			c.loc.ReplyOp(a.origin, c.handle, o.elem, a.token, v)
+		c.loc.AccountReply(o.retBytes(r))
+		switch {
+		case a.res != nil:
+			a.res.set(r)
+		case a.fut != nil:
+			a.fut.Complete(r)
+		default:
+			c.loc.ReplyOp(a.origin, c.handle, o.elem, a.token, r)
 		}
 	}
 	o.putRec(a)

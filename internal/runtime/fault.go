@@ -29,7 +29,8 @@ const (
 	// FaultBodyPanic is a panic recovered from the location's SPMD body.
 	FaultBodyPanic
 	// FaultStall is raised by the progress watchdog: requests were pending
-	// but no machine counter moved for the configured stall deadline.
+	// (or a goroutine slept waiting for none to be) but no machine counter
+	// moved for the configured stall deadline.
 	FaultStall
 	// FaultTransport is a wire-level failure (drain timeout, lost rendezvous
 	// batches, dial failure after retries, peer reset mid-run).
@@ -274,11 +275,11 @@ func (m *Machine) collectFault() *MachineFault {
 }
 
 // abort triggers the machine-wide cooperative abort exactly once per run:
-// the abort channel closes (unblocking every select on it — futures,
-// synchronous responses, injected stalls, the watchdog), the barrier and
-// quiescence condition variables broadcast (their wait loops re-check the
-// abort flag and unwind), and every mailbox is interrupted so the server
-// goroutines stop pulling work.
+// the abort channel closes (unblocking every select on it — futures, injected
+// stalls, the watchdog), the barrier and quiescence condition variables
+// broadcast (their wait loops re-check the abort flag and unwind), every
+// location's parked blocking callers are woken to unwind, and every mailbox
+// is interrupted so the server goroutines stop pulling work.
 func (m *Machine) abort() {
 	m.abortOnce.Do(func() {
 		close(m.abortCh)
@@ -289,6 +290,7 @@ func (m *Machine) abort() {
 		m.quiesceCv.Broadcast()
 		m.quiesceMu.Unlock()
 		for _, l := range m.locations {
+			l.unpark()
 			l.inbox.interrupt()
 		}
 	})
@@ -317,6 +319,7 @@ func (m *Machine) checkAbort() {
 // mean nothing happened in between.
 type progressSig struct {
 	pending   int64
+	sleepers  int32 // goroutines waiting for a quiescence event
 	handled   int64
 	messages  int64
 	started   int64
@@ -330,6 +333,7 @@ type progressSig struct {
 func (m *Machine) progressSignature() progressSig {
 	var sig progressSig
 	sig.pending = m.pending.Load()
+	sig.sleepers = m.quiesceWaiters.Load()
 	for _, l := range m.locations {
 		sig.handled += l.stats.rmisHandled.Load()
 		sig.messages += l.stats.messagesSent.Load()
@@ -365,7 +369,7 @@ func (m *Machine) suspectLocation() int {
 // "no progress" fault is diagnosable from its message alone.
 func (m *Machine) stallDiagnostic(deadline time.Duration) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "no progress for %v with %d requests pending;", deadline, m.pending.Load())
+	fmt.Fprintf(&b, "no progress for %v with %d requests pending and %d goroutines waiting for quiescence;", deadline, m.pending.Load(), m.quiesceWaiters.Load())
 	for _, l := range m.locations {
 		fmt.Fprintf(&b, " loc%d{issued-pending=%d mailbox=%d handling=%d handled=%d}",
 			l.id,
@@ -380,8 +384,9 @@ func (m *Machine) stallDiagnostic(deadline time.Duration) string {
 // startWatchdog launches the progress watchdog for the run: it samples the
 // machine counters and converts a frozen sample with pending work into a
 // FaultStall once the stall deadline passes.  A machine with zero pending
-// requests is never flagged — locations may legitimately compute locally
-// for any amount of time.
+// requests is not flagged — locations may legitimately compute locally for
+// any amount of time — unless somebody sleeps waiting for exactly that: a
+// quiescence event that was never delivered.
 func (m *Machine) startWatchdog(deadline time.Duration) {
 	stop := make(chan struct{})
 	done := make(chan struct{})
@@ -406,7 +411,7 @@ func (m *Machine) startWatchdog(deadline time.Duration) {
 			case <-ticker.C:
 			}
 			sig := m.progressSignature()
-			if sig != last || sig.pending == 0 {
+			if sig != last || (sig.pending == 0 && sig.sleepers == 0) {
 				last, lastChange = sig, time.Now()
 				continue
 			}

@@ -125,6 +125,90 @@ func TestFencedProgramCountersDeterministic(t *testing.T) {
 	}
 }
 
+// The quiescence event is broadcast only to an announced waiter (waitZero,
+// unpendSent), so the failure to look for is a wake-up lost between a sleeper
+// announcing itself and the decrement that takes its counter to zero.  The two
+// tests below hammer that window with the watchdog armed: it flags a sleeper
+// left behind with nothing pending, so a lost wake-up is a FaultStall here and
+// not a CI job that hangs.
+
+// TestOneSidedFenceAfterEveryWriteNeverSleepsThrough issues 100 000 × (one
+// asynchronous write, OneSidedFence): every fence sleeps on a counter that one
+// handler completion takes from one to zero.
+func TestOneSidedFenceAfterEveryWriteNeverSleepsThrough(t *testing.T) {
+	const writes = 100000
+	cfg := DefaultConfig()
+	cfg.StallTimeout = 2 * time.Second
+	sink := &benchSink{}
+	fault := NewMachine(2, cfg).ExecuteErr(func(loc *Location) {
+		h := loc.RegisterObject(sink)
+		loc.Barrier()
+		if loc.ID() == 0 {
+			one := any(int64(1))
+			for i := int64(1); i <= writes; i++ {
+				loc.AsyncRMIOpSized(1, h, 8, bumpOp, one)
+				loc.OneSidedFence()
+				if got := sink.hits.Load(); got != i {
+					t.Errorf("after fence %d the owner has applied %d writes", i, got)
+					break
+				}
+			}
+		}
+		loc.Fence()
+	})
+	if fault != nil {
+		t.Fatalf("a fence slept through its quiescence event: %v", fault)
+	}
+}
+
+// TestFencedProgramNeverSleepsThrough runs the forwarding program, whose
+// traffic is mostly handler-made, into a collective Fence 300 times.
+func TestFencedProgramNeverSleepsThrough(t *testing.T) {
+	const p, runs = 6, 300
+	cfg := DefaultConfig()
+	cfg.Aggregation = 16
+	cfg.StallTimeout = 2 * time.Second
+	for run := 0; run < runs; run++ {
+		objs := make([]*counterObj, p)
+		for i := range objs {
+			objs[i] = &counterObj{}
+		}
+		fault := NewMachine(p, cfg).ExecuteErr(func(loc *Location) {
+			forwardingProgram(loc, objs)
+			loc.Fence()
+			if got, want := objs[loc.ID()].get(), forwardingWant(loc.ID(), p); got != want {
+				t.Errorf("run %d: after Fence location %d ran %d handlers, want %d", run, loc.ID(), got, want)
+			}
+		})
+		if fault != nil {
+			t.Fatalf("run %d: %v", run, fault)
+		}
+	}
+}
+
+// TestWatchdogFlagsASleeperWithNothingPending checks the diagnostic the two
+// tests above rely on: a goroutine announced as waiting for quiescence while no
+// request is pending anywhere has lost its wake-up, and the watchdog says so.
+func TestWatchdogFlagsASleeperWithNothingPending(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.StallTimeout = 200 * time.Millisecond
+	m := NewMachine(2, cfg)
+	fault := m.ExecuteErr(func(loc *Location) {
+		if loc.ID() == 0 {
+			// What waitZero's sleeper looks like once its broadcast is gone.
+			m.quiesceWaiters.Add(1)
+			defer m.quiesceWaiters.Add(-1)
+			<-m.abortCh
+			panic(abortSignal{})
+		}
+		loc.Barrier()
+	})
+	if fault == nil || fault.Cause.Kind != FaultStall {
+		t.Fatalf("fault = %v, want a stall", fault)
+	}
+	assertNoRuntimeGoroutines(t)
+}
+
 // TestAbortWakesFenceQuiescenceWait lands a handler panic while every
 // location sits between a fence's barriers waiting for the quiescence event.
 // One request bounces between locations 1 and 2 — it alone keeps the machine

@@ -3,10 +3,14 @@ package runtime
 import "sync"
 
 // Future is the handle returned by split-phase container methods (the paper's
-// pc_future).
+// pc_future): the caller issues the method, goes on with other work and asks
+// for the result when it wants it.
 // Get blocks until the remote method has executed and its result is
 // available.  A Future is completed exactly once and may be read any number
-// of times from any goroutine.
+// of times from any goroutine, before or after completion — which is what its
+// mutex, its untyped value and its lazily made channel are for.  It is NOT how
+// a blocking call waits: a synchronous method has exactly one reader, parked
+// from the start, and uses a Waiter next to a typed result cell instead.
 //
 // Completion is signalled through a channel (not a condition variable) so
 // that a waiter can simultaneously watch the owning machine's abort channel:

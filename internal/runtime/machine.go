@@ -76,11 +76,14 @@ type Machine struct {
 	// handlers have not yet completed.  Fence waits for it to reach zero.
 	// pendingBySrc tracks the same per issuing location, for the
 	// one-sided fence.  The decrement that takes either to zero broadcasts
-	// quiesceCv: quiescence is an event, nobody polls for it.
-	pending      atomic.Int64
-	pendingBySrc []atomic.Int64
-	quiesceMu    sync.Mutex
-	quiesceCv    *sync.Cond
+	// quiesceCv if quiesceWaiters says somebody sleeps on it: quiescence is an
+	// event, nobody polls for it — and with one blocking read in flight every
+	// completion is a zero-crossing, so nobody announces it to an empty room.
+	pending        atomic.Int64
+	pendingBySrc   []atomic.Int64
+	quiesceMu      sync.Mutex
+	quiesceCv      *sync.Cond
+	quiesceWaiters atomic.Int32
 	// draining counts the driven locations inside a fence, from their entry
 	// until the machine was seen quiescent (the run loop sets it to all of
 	// them once every body has returned).  While it equals len(driven) no
@@ -111,8 +114,9 @@ type Machine struct {
 	lastWireStats    transport.WireStats
 
 	// Fault-containment state, reset at the start of every run.  abortCh
-	// closes when the machine aborts; every blocking primitive selects on
-	// it (or re-checks aborted() from its condition-variable wait loop).
+	// closes when the machine aborts; a blocking primitive selects on it,
+	// re-checks aborted() from its condition-variable wait loop, or is woken
+	// by the abort's broadcast (Location.unpark).
 	abortCh      chan struct{}
 	abortOnce    *sync.Once
 	faultMu      sync.Mutex
@@ -532,11 +536,12 @@ func (m *Machine) addPending(src int, n int64) {
 // to the wire — responsibility moves to the receiving process, which re-pends
 // the requests at arrival, and the quiescence waves account for frames in
 // flight between the two (see procQuiesce).  The decrement that takes the
-// global or the source's count to zero is the quiescence event.
+// global or the source's count to zero is the quiescence event; it is
+// broadcast only to a waiter waitZero has announced.
 func (m *Machine) unpendSent(src int, n int64) {
 	globalZero := m.pending.Add(-n) == 0
 	srcZero := m.pendingBySrc[src].Add(-n) == 0
-	if globalZero || srcZero {
+	if (globalZero || srcZero) && m.quiesceWaiters.Load() != 0 {
 		m.quiesceMu.Lock()
 		m.quiesceCv.Broadcast()
 		m.quiesceMu.Unlock()
@@ -545,12 +550,19 @@ func (m *Machine) unpendSent(src int, n int64) {
 
 // waitZero blocks until the pending counter c reads zero or the machine
 // aborts (abort broadcasts quiesceCv too); the caller tells the two apart.
+// The waiter is announced BEFORE the counter is read: each side does a
+// sequentially consistent write then read (here waiters then counter, in
+// unpendSent counter then waiters), so this read sees the zero or the
+// decrement that produced it sees the waiter, and broadcasts once the sleeper
+// has let go of the lock it read the counter under.
 func (m *Machine) waitZero(c *atomic.Int64) {
+	m.quiesceWaiters.Add(1)
 	m.quiesceMu.Lock()
 	for c.Load() != 0 && !m.aborted() {
 		m.quiesceCv.Wait()
 	}
 	m.quiesceMu.Unlock()
+	m.quiesceWaiters.Add(-1)
 }
 
 // waitQuiescent blocks until no RMIs are outstanding anywhere.  It must only
@@ -617,7 +629,7 @@ type Location struct {
 
 	// Aggregation buffers, one per destination, guarded by aggMu.
 	aggMu   sync.Mutex
-	aggBufs [][]*rmiRequest
+	aggBufs []*[]*rmiRequest
 	// batchMu is held by the server while it executes a mailbox batch and by
 	// this location's own whole-buffer flushes (flushBetweenBatches), so a
 	// flush never cuts in two what one batch's handlers send to one
@@ -651,6 +663,11 @@ type Location struct {
 	handlerDone    atomic.Int64
 	injectionCount atomic.Int64
 
+	// parked are the waiters this location's blocking callers are parked on
+	// (see Waiter).
+	parkMu sync.Mutex
+	parked []*Waiter
+
 	// Completion tokens for value-returning registered operations on
 	// self-decoding transports (see ops.go): the origin parks a callback
 	// here and the matching KindReply request routes its value back.
@@ -666,7 +683,7 @@ func newLocation(m *Machine, id, n int, cfg Config) *Location {
 		n:       n,
 		cfg:     cfg,
 		inbox:   newMailbox(),
-		aggBufs: make([][]*rmiRequest, n),
+		aggBufs: make([]*[]*rmiRequest, n),
 		rng:     rand.New(rand.NewSource(cfg.Seed*1_000_003 + int64(id))),
 	}
 	empty := make([]any, 0)
@@ -815,10 +832,7 @@ func (l *Location) execute(req *rmiRequest) {
 	}
 	l.maybeInjectFault()
 	l.stats.rmisHandled.Add(1)
-	out := req.op.exec(l.object(req.handle), l, req.arg)
-	if req.resp != nil {
-		req.resp <- out
-	}
+	req.op.exec(l.object(req.handle), l, req.arg)
 }
 
 // reqPool recycles rmiRequest descriptors: the element-access hot path

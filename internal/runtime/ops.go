@@ -131,8 +131,9 @@ func RegisterOp[A any](name string, argCodec transport.Codec[A], exec func(obj a
 }
 
 // RegisterOpRet registers a value-returning operation.  The handler computes
-// the result itself and sends it home with Location.ReplyOp (or completes the
-// in-memory future the argument carries, on in-process delivery); retCodec is
+// the result itself and sends it home with Location.ReplyOp (or, on in-process
+// delivery, hands it to whatever the argument carries: a blocking caller's
+// result cell and Waiter, a split-phase caller's Future); retCodec is
 // how a by-value operation's reply is marshalled on KindReply frames.  The
 // operation is by-value only if both codecs are.  releaseRet, when non-nil, is
 // release for replies: it returns a pooled reply value to its pool after the
@@ -154,10 +155,7 @@ func RegisterOpRet[A any, R any](name string, argCodec transport.Codec[A], retCo
 }
 
 func newOpEntry[A any](argCodec transport.Codec[A], exec func(obj any, loc *Location, arg A), release func(A)) *opEntry {
-	e := &opEntry{exec: func(obj any, loc *Location, arg any) any {
-		exec(obj, loc, arg.(A))
-		return nil
-	}}
+	e := &opEntry{exec: func(obj any, loc *Location, arg any) { exec(obj, loc, arg.(A)) }}
 	if argCodec.ByValue() {
 		e.encode = func(b *transport.Buffer, arg any) { argCodec.Encode(b, arg.(A)) }
 		e.decode = func(b *transport.Buffer) any { return argCodec.Decode(b) }
@@ -255,20 +253,4 @@ func (l *Location) NewAbortableFuture() *Future {
 	fut := NewFuture()
 	fut.abort = l.machine.abortCh
 	return fut
-}
-
-// WaitDone blocks until ch closes.  If the machine aborts first, the wait
-// unwinds the calling goroutine (cooperative abort) unless ch closed in the
-// same instant.  Framework completion waits (bulk gathers) use it so a fault
-// elsewhere cannot strand them.
-func (l *Location) WaitDone(ch <-chan struct{}) {
-	select {
-	case <-ch:
-	case <-l.machine.abortCh:
-		select {
-		case <-ch:
-		default:
-			panic(abortSignal{})
-		}
-	}
 }

@@ -9,23 +9,34 @@ import (
 
 // handler is the one shape every request's code takes at the destination: a
 // static function applied to the addressed object and an explicit argument.
-// The result is delivered to a synchronous caller and ignored by every other
-// flavour.
-type handler func(obj any, loc *Location, arg any) any
+// A handler whose caller waits for a result stores it where the argument says
+// and wakes the caller itself.
+type handler func(obj any, loc *Location, arg any)
 
 // A closure request is the argument of one of two fixed, unregistered
 // operations (id 0, no codecs): the handler calls the closure it is handed.
-// A func value is pointer-shaped, so boxing it as the argument allocates
-// nothing.
+// A func value and a *syncCall are pointer-shaped, so boxing either as the
+// argument allocates nothing.
 var (
-	closureOp = &opEntry{name: "closure", exec: func(obj any, loc *Location, arg any) any {
+	closureOp = &opEntry{name: "closure", exec: func(obj any, loc *Location, arg any) {
 		arg.(func(any, *Location))(obj, loc)
-		return nil
 	}}
-	retClosureOp = &opEntry{name: "closure", exec: func(obj any, loc *Location, arg any) any {
-		return arg.(func(any, *Location) any)(obj, loc)
+	syncClosureOp = &opEntry{name: "closure", exec: func(obj any, loc *Location, arg any) {
+		c := arg.(*syncCall)
+		c.out = c.fn(obj, loc)
+		c.w.Wake()
 	}}
 )
+
+// syncCall is the argument of a closure SyncRMI: the closure, the cell its
+// result is stored in, and the waiter the caller is parked on.
+type syncCall struct {
+	w   Waiter
+	fn  func(obj any, loc *Location) any
+	out any
+}
+
+var syncCalls = sync.Pool{New: func() any { return &syncCall{w: MakeWaiter()} }}
 
 // rmiRequest is one remote method invocation in flight: an operation (its
 // handler, and what the wire adapter needs to know to ship it) plus the
@@ -36,7 +47,6 @@ type rmiRequest struct {
 	kind   uint8 // transport.Kind* — the RMI flavour, for the wire descriptor
 	op     *opEntry
 	arg    any
-	resp   chan any // synchronous requests: where the server sends the result
 	delay  time.Duration
 	bytes  int
 	token  uint64 // KindReply: addresses the origin's completion callback
@@ -53,13 +63,13 @@ const requestOverheadBytes = 8
 // containers exploit), otherwise account the simulated bytes, build the one
 // outgoing request and hand it to the delivery its flavour calls for.  The
 // exported entry points below only bump their own flavour counter and name
-// the operation.  The result is the handler's for a local or synchronous
-// request, nil otherwise.
-func (l *Location) issue(dest int, h Handle, kind uint8, bytes int, op *opEntry, arg any) any {
+// the operation.
+func (l *Location) issue(dest int, h Handle, kind uint8, bytes int, op *opEntry, arg any) {
 	l.stats.rmisSent.Add(1)
 	if dest == l.id {
 		l.localRMIs.Add(1)
-		return op.exec(l.object(h), l, arg)
+		op.exec(l.object(h), l, arg)
+		return
 	}
 	// Remote requests account the fixed descriptor overhead on top of the
 	// payload; local invocations move no simulated bytes at all.
@@ -67,15 +77,10 @@ func (l *Location) issue(dest int, h Handle, kind uint8, bytes int, op *opEntry,
 	l.remoteRMIs.Add(1)
 	req := getRequest()
 	*req = rmiRequest{src: l.id, handle: h, kind: kind, op: op, arg: arg, bytes: bytes, delay: l.delayTo(dest)}
-	switch kind {
-	case transport.KindAsync:
+	if kind == transport.KindAsync {
 		l.enqueue(dest, req)
-		return nil
-	case transport.KindSync:
-		return l.syncWait(dest, req)
-	default:
+	} else {
 		l.deliverNow(dest, req)
-		return nil
 	}
 }
 
@@ -163,7 +168,23 @@ func (l *Location) AsyncRMIBulkOp(dest int, h Handle, ops, bytes int, op OpID, a
 // forward asynchronously instead).
 func (l *Location) SyncRMI(dest int, h Handle, fn func(obj any, loc *Location) any) any {
 	l.stats.syncRMIs.Add(1)
-	return l.issue(dest, h, transport.KindSync, 0, retClosureOp, fn)
+	if dest == l.id {
+		// In place, like every local invocation: no record, no park.
+		l.stats.rmisSent.Add(1)
+		l.localRMIs.Add(1)
+		return fn(l.object(h), l)
+	}
+	c := syncCalls.Get().(*syncCall)
+	c.fn = fn
+	l.issue(dest, h, transport.KindSync, 0, syncClosureOp, c)
+	l.Wait(&c.w)
+	out := c.out
+	c.fn, c.out = nil, nil
+	syncCalls.Put(c)
+	// The response itself is one message on the simulated interconnect,
+	// carrying the marshalled result.
+	l.AccountReply(l.PayloadBytes(out))
+	return out
 }
 
 // ReplyOp sends the result of a value-returning registered operation back to
@@ -202,38 +223,6 @@ func (l *Location) AccountReply(bytes int) {
 	l.stats.bytesSimulated.Add(int64(bytes))
 }
 
-// respPool recycles the one-slot response channels of synchronous RMIs.  A
-// channel is returned to the pool only after its response was received, so a
-// recycled channel is always empty; the abort path deliberately leaks its
-// channel because a dying handler may still complete the send.
-var respPool = sync.Pool{New: func() any { return make(chan any, 1) }}
-
-// syncWait delivers a synchronous request to dest and blocks for the
-// response.
-func (l *Location) syncWait(dest int, req *rmiRequest) any {
-	resp := respPool.Get().(chan any)
-	req.resp = resp
-	l.deliverNow(dest, req)
-	var out any
-	select {
-	case out = <-resp:
-	case <-l.machine.abortCh:
-		// The handler that would have answered died with the machine;
-		// unwind instead of blocking forever.  Prefer a response that
-		// raced the abort.
-		select {
-		case out = <-resp:
-		default:
-			panic(abortSignal{})
-		}
-	}
-	respPool.Put(resp)
-	// The response itself is one message on the simulated interconnect,
-	// carrying the marshalled result.
-	l.AccountReply(l.payloadBytes(out))
-	return out
-}
-
 // delayTo returns the configured artificial latency between this location
 // and dest, or zero.
 func (l *Location) delayTo(dest int) time.Duration {
@@ -243,21 +232,23 @@ func (l *Location) delayTo(dest int) time.Duration {
 	return l.cfg.RemoteDelay(l.id, dest)
 }
 
-// batchPool recycles the aggregation-buffer slices: a buffer is swapped out
-// when it flushes, copied into the destination mailbox, and returned here.
-var batchPool = sync.Pool{New: func() any { return make([]*rmiRequest, 0, 64) }}
+// batchPool recycles the aggregation buffers: a buffer is swapped out when it
+// flushes, copied into the destination mailbox, and returned here.  It holds
+// pointers to slices — pooling the slice itself would box its header on every
+// Put.
+var batchPool = sync.Pool{New: func() any {
+	b := make([]*rmiRequest, 0, 64)
+	return &b
+}}
 
-// getBatch returns an empty request slice from the pool.
-func getBatch() []*rmiRequest { return batchPool.Get().([]*rmiRequest)[:0] }
-
-// putBatch clears and recycles a flushed batch slice.
-func putBatch(b []*rmiRequest) {
-	for i := range b {
-		b[i] = nil
-	}
-	//lint:ignore SA6002 the slice header itself is what we pool; the
-	// backing array is reused, so the boxed header allocation is amortised.
-	batchPool.Put(b[:0])
+// shipBatch delivers a buffer taken out of aggBufs (never empty: a buffer is
+// drawn for the request appended to it) as one message and recycles it.
+func (l *Location) shipBatch(dest int, buf *[]*rmiRequest) {
+	l.stats.messagesSent.Add(1)
+	l.machine.transport.Deliver(l.id, dest, *buf)
+	clear(*buf)
+	*buf = (*buf)[:0]
+	batchPool.Put(buf)
 }
 
 // enqueue places an asynchronous request in the aggregation buffer for dest,
@@ -271,20 +262,19 @@ func (l *Location) enqueue(dest int, req *rmiRequest) {
 		return
 	}
 	l.aggMu.Lock()
-	if l.aggBufs[dest] == nil {
-		l.aggBufs[dest] = getBatch()
+	buf := l.aggBufs[dest]
+	if buf == nil {
+		buf = batchPool.Get().(*[]*rmiRequest)
+		l.aggBufs[dest] = buf
 	}
-	l.aggBufs[dest] = append(l.aggBufs[dest], req)
-	var batch []*rmiRequest
-	if len(l.aggBufs[dest]) >= l.cfg.Aggregation {
-		batch = l.aggBufs[dest]
+	*buf = append(*buf, req)
+	full := len(*buf) >= l.cfg.Aggregation
+	if full {
 		l.aggBufs[dest] = nil
 	}
 	l.aggMu.Unlock()
-	if batch != nil {
-		l.stats.messagesSent.Add(1)
-		l.machine.transport.Deliver(l.id, dest, batch)
-		putBatch(batch)
+	if full {
+		l.shipBatch(dest, buf)
 	}
 }
 
@@ -294,15 +284,11 @@ func (l *Location) flushDest(dest int) {
 		return
 	}
 	l.aggMu.Lock()
-	batch := l.aggBufs[dest]
+	buf := l.aggBufs[dest]
 	l.aggBufs[dest] = nil
 	l.aggMu.Unlock()
-	if len(batch) > 0 {
-		l.stats.messagesSent.Add(1)
-		l.machine.transport.Deliver(l.id, dest, batch)
-	}
-	if batch != nil {
-		putBatch(batch)
+	if buf != nil {
+		l.shipBatch(dest, buf)
 	}
 }
 

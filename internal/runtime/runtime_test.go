@@ -389,6 +389,61 @@ type sized struct{}
 
 func (sized) ByteSize() int { return 128 }
 
+// sizedPtr sizes itself from its contents: resolving its tier must not ask a
+// nil one.
+type sizedPtr struct{ n int }
+
+func (s *sizedPtr) ByteSize() int { return s.n }
+
+type registered struct{ n int }
+
+type unsized struct{ a, b int64 }
+
+// TestSizerForAgreesWithPayloadBytes: the once-per-type resolution and the
+// per-value one are the same three tiers, and only the accounted flavour
+// counts a guess.
+func TestSizerForAgreesWithPayloadBytes(t *testing.T) {
+	RegisterSizer(func(r registered) int { return 3 * r.n })
+	check := func(what string, got, want int) {
+		t.Helper()
+		if got != want {
+			t.Errorf("%s sized at %d bytes, want %d", what, got, want)
+		}
+	}
+	check("int64", SizerFor[int64]()(5), PayloadBytes(int64(5)))
+	check("float64", SizerFor[float64]()(5), 8)
+	check("Sizer value", SizerFor[sized]()(sized{}), 128)
+	check("Sizer pointer", SizerFor[*sizedPtr]()(&sizedPtr{n: 40}), 40)
+	check("registered type", SizerFor[registered]()(registered{n: 7}), 21)
+	check("registered type, per value", PayloadBytes(registered{n: 7}), 21)
+	check("unsized struct", SizerFor[unsized]()(unsized{}), PayloadBytes(unsized{}))
+	// A sizer that arrives after a SizerFor settled on the guess would be
+	// ignored by that operation's replies: a loud error, not a silent one.
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("RegisterSizer for a type SizerFor already guessed did not panic")
+			}
+		}()
+		RegisterSizer(func(unsized) int { return 16 })
+	}()
+	anySize := SizerFor[any]()
+	check("any holding nil", anySize(nil), 8)
+	check("any holding a Sizer", anySize(sized{}), 128)
+	check("any holding a registered type", anySize(registered{n: 2}), 6)
+
+	m := NewMachine(1, DefaultConfig())
+	m.Execute(func(loc *Location) {
+		loc.PayloadBytes(int64(1))
+		loc.PayloadBytes(sized{})
+		loc.PayloadBytes(registered{n: 1})
+		loc.PayloadBytes(unsized{}) // the one guess
+	})
+	if got := m.Stats().SizerMisses; got != 1 {
+		t.Errorf("SizerMisses = %d, want 1", got)
+	}
+}
+
 func TestStatsCounters(t *testing.T) {
 	m := NewMachine(2, DefaultConfig())
 	m.Execute(func(loc *Location) {

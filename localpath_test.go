@@ -73,12 +73,23 @@ func localFamilies(loc *runtime.Location) (local, remote []localFamily) {
 }
 
 func TestLocalElementMethodsAllocateNothing(t *testing.T) {
-	// What a remote pArray access allocated when the local branch was pinned
-	// (averages over 200 calls, rounded down by AllocsPerRun): a future and
-	// its wait channel for a read, nothing beyond a pool miss for a write.
-	// Every family's remote Get/Set is the same element operation now and is
-	// held to the same numbers; they may fall.
-	const remoteGetAllocs, remoteSetAllocs = 2, 2
+	// Every family's remote Get/Set is the same element operation and allocates
+	// nothing either, exactly: a blocking read parks on a pooled result cell the
+	// owner writes in place (it used to build a future and its wait channel, and
+	// a find boxed its reply on top), a write travels in a pooled record through
+	// a pooled aggregation buffer (whose slice header used to be boxed on every
+	// flush).  Under the race detector sync.Pool drops a quarter of what it is
+	// handed, at random: there the remote rows keep the bound (2) they had before
+	// they were exact; the local rows use no pool.
+	if !raceDetector {
+		steadyAllocs(t)
+	}
+	remotePin := func(got float64) bool {
+		if raceDetector {
+			return got <= 2
+		}
+		return got == 0
+	}
 	cfg := runtime.DefaultConfig()
 	cfg.Transport = runtime.InprocTransport // the remote pins are the in-process transport's
 	runtime.NewMachine(2, cfg).Execute(func(loc *runtime.Location) {
@@ -93,16 +104,20 @@ func TestLocalElementMethodsAllocateNothing(t *testing.T) {
 				}
 			}
 			for _, f := range remote {
-				pin := float64(remoteGetAllocs)
-				if f.name == "phashmap" {
-					pin++ // a find's reply boxes (value, present); it was 5 on the closure path
+				if got := testing.AllocsPerRun(200, f.read); !remotePin(got) {
+					t.Errorf("%s: a remote read allocates %v objects, want 0", f.name, got)
 				}
-				if got := testing.AllocsPerRun(200, f.read); got > pin {
-					t.Errorf("%s: a remote read allocates %v objects, pinned at %v", f.name, got, pin)
+				// Writes are asynchronous: the run's 201 records are all in flight
+				// before the owner recycles the first, so the pools must have
+				// met that many.
+				for i := 0; i < 400; i++ {
+					f.write()
 				}
-				if got := testing.AllocsPerRun(200, f.write); got > remoteSetAllocs {
-					t.Errorf("%s: a remote write allocates %v objects, pinned at %d", f.name, got, remoteSetAllocs)
+				loc.OneSidedFence()
+				if got := testing.AllocsPerRun(200, f.write); !remotePin(got) {
+					t.Errorf("%s: a remote write allocates %v objects, want 0", f.name, got)
 				}
+				loc.OneSidedFence()
 			}
 		}
 		loc.Fence()
@@ -185,19 +200,19 @@ func TestWireElementMethodAllocations(t *testing.T) {
 	// envelope and the receiver's descriptor slice: three, none of them
 	// poolable (a frame is never recycled) — its acknowledgement rides on the
 	// next envelope the other way and allocates nothing.  On top of that the
-	// pair allocates the caller's result slice, the bulk tracker with its
-	// channel, the reply callback and four boxed index-slice headers (the bulk
-	// walk's own pool); the read its future, the future's channel and the
-	// reply callback.  A socket adds the buffer each frame is received into.
-	// When every arrival was answered with an ack frame of its own the counts
-	// were 20 and 11 over the protocol stack, 32 and 19 over TCP.
+	// pair allocates the caller's result slice and its reply callback, the read
+	// its reply callback (the result cell the callback fills is pooled).  A
+	// socket adds the buffer each frame is received into.
+	// While a blocking call built a future (or a tracker) and a channel per
+	// call and the bulk walk boxed four index-slice headers, the counts were
+	// 17 and 9 over the protocol stack, 20 and 11 over TCP.
 	for _, tr := range []struct {
 		name                      string
 		factory                   runtime.TransportFactory
 		bulkPairAllocs, getAllocs float64
 	}{
-		{"wire", runtime.WireTransport, 17, 9},
-		{"tcp", runtime.TCPLoopbackTransport, 20, 11},
+		{"wire", runtime.WireTransport, 11, 7},
+		{"tcp", runtime.TCPLoopbackTransport, 14, 9},
 	} {
 		for _, n := range []int64{64, 1024, 8192} {
 			onWire(tr.factory, n, func(_ *runtime.Location, arr *parray.Array[int64]) {
@@ -209,7 +224,7 @@ func TestWireElementMethodAllocations(t *testing.T) {
 				for i := 0; i < 4; i++ {
 					pair() // the pooled slices have met a group of this size
 				}
-				// (All but the odd one: a pool hands out a fresh index slice when
+				// (All but the odd one: the pool hands out a fresh walk scratch when
 				// the two locations' walks overlap.  The average rounds that away.)
 				got := testing.AllocsPerRun(50, pair)
 				t.Logf("%s: SetBulk+GetBulk of %d remote elements: %v allocs", tr.name, n, got)
