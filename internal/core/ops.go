@@ -233,7 +233,7 @@ func newElemOp[G any, B BContainer, A any, R any](
 	if elemName != "" {
 		o.elem = runtime.RegisterOpRet(elemName, o.elemCodec(elemName, gidCodec, argCodec), retCodec,
 			func(obj any, _ *runtime.Location, a *elemRec[G, A, R]) { o.hop(obj.(*Container[G, B]), a) },
-			o.putRec, nil)
+			o.putRec, nil, func(a *elemRec[G, A, R]) bool { return a.res != nil })
 	}
 	if groupName != "" {
 		o.group = runtime.RegisterOpRet(groupName,
@@ -242,7 +242,7 @@ func newElemOp[G any, B BContainer, A any, R any](
 				o.walk(obj.(*Container[G, B]), g)
 				o.putGroup(g)
 			},
-			o.putGroup, o.putRet)
+			o.putGroup, o.putRet, nil)
 	}
 	return o
 }

@@ -13,6 +13,11 @@ func AssertNoRuntimeGoroutines(t *testing.T) {
 	assertNoRuntimeGoroutines(t)
 }
 
+// ServerIdle reports whether l's server sleeps with nothing queued: on the
+// in-process transport a blocking call to l issued now runs on its issuer's
+// goroutine.
+func ServerIdle(l *Location) bool { return l.inbox.idle() }
+
 // TappedWireTransport is WireTransport with tap shown every batch frame on its
 // way into the reliable layer, so an external test can collect what the
 // containers really put on a wire.

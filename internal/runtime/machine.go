@@ -630,11 +630,11 @@ type Location struct {
 	// Aggregation buffers, one per destination, guarded by aggMu.
 	aggMu   sync.Mutex
 	aggBufs []*[]*rmiRequest
-	// batchMu is held by the server while it executes a mailbox batch and by
-	// this location's own whole-buffer flushes (flushBetweenBatches), so a
-	// flush never cuts in two what one batch's handlers send to one
-	// destination: how many messages a fenced program moves does not depend
-	// on when its locations reach the fence.
+	// batchMu is held by whoever runs a batch here (the server, or an issuer
+	// in borrow) and by this location's own whole-buffer flushes
+	// (flushBetweenBatches), so a flush never cuts in two what one batch's
+	// handlers send to one destination: how many messages a fenced program
+	// moves does not depend on when its locations reach the fence.
 	batchMu sync.Mutex
 
 	// Registered p_object representatives, held as an immutable snapshot
@@ -762,13 +762,7 @@ func (l *Location) object(h Handle) any {
 // paper's per-location serialisation of incoming requests and the FIFO
 // ordering guarantee for a given (source, destination) pair.  The server
 // drains the mailbox in whole batches (one lock acquisition per batch) and
-// returns executed requests to the request pool.
-//
-// While the machine is draining, the server flushes this location's
-// aggregation buffers at the end of every batch — before the batch's last
-// request leaves the pending count, so the machine cannot look quiescent (and
-// the fence cannot end, and draining cannot drop) with a handler's send still
-// buffered.  Outside a drain that is one atomic load per batch.
+// serves each under batchMu.
 func (l *Location) startServer() {
 	m := l.machine
 	m.servers.Add(1)
@@ -781,15 +775,7 @@ func (l *Location) startServer() {
 				return
 			}
 			l.batchMu.Lock()
-			for i, req := range batch {
-				l.execute(req)
-				if i == len(batch)-1 && int(m.draining.Load()) == len(m.driven) {
-					l.flushAll()
-				}
-				m.unpendSent(req.src, 1)
-				putRequest(req)
-				batch[i] = nil
-			}
+			l.serve(batch)
 			l.batchMu.Unlock()
 			spare = batch
 		}
@@ -798,8 +784,43 @@ func (l *Location) startServer() {
 
 func (l *Location) stopServer() { l.inbox.close() }
 
-// execute runs one RMI request against the local representative (the server
-// loop takes it off the pending count afterwards).  A panic in the handler (or
+// serve runs a batch here under batchMu — the server's from the mailbox, or
+// borrow's batch of one: execute each request, take it off the pending count,
+// recycle it.  While the machine drains, the last one first flushes this
+// location's aggregation buffers, so the machine cannot look quiescent (and the
+// fence end, and draining drop) with a handler's send still buffered.  Outside
+// a drain that is one atomic load per batch.
+func (l *Location) serve(batch []*rmiRequest) {
+	m := l.machine
+	for i, req := range batch {
+		l.execute(req)
+		if i == len(batch)-1 && int(m.draining.Load()) == len(m.driven) {
+			l.flushAll()
+		}
+		m.unpendSent(req.src, 1)
+		putRequest(req)
+		batch[i] = nil
+	}
+}
+
+// borrow serves req on the issuer's goroutine, which parks until req has run
+// anyway, if this location's server is idle, and reports whether it did: with
+// batchMu held and the server asleep with nothing queued, everything sent here
+// before req has run and nothing else can start (DESIGN.md §1).
+func (l *Location) borrow(req *rmiRequest) bool {
+	if !l.inbox.idle() || !l.batchMu.TryLock() {
+		return false
+	}
+	idle := l.inbox.idle() // the server may have taken a batch before the lock
+	if idle {
+		l.serve([]*rmiRequest{req})
+	}
+	l.batchMu.Unlock()
+	return idle
+}
+
+// execute runs one RMI request against the local representative (serve takes
+// it off the pending count afterwards).  A panic in the handler (or
 // in the framework lookup around it) is contained: it is captured as a
 // FaultHandlerPanic with the handler's stack and aborts the machine, instead
 // of killing the process from a server goroutine and stranding every other

@@ -23,6 +23,9 @@ type mailbox struct {
 	// wakes the consumer immediately — the machine is unwinding and the
 	// requests' senders have already been unblocked.
 	aborted bool
+	// waiting is set while the consumer sleeps in popBatch: it has finished
+	// every batch it took, so with in empty every request pushed so far has run.
+	waiting bool
 }
 
 func newMailbox() *mailbox {
@@ -67,7 +70,9 @@ func (m *mailbox) pushAll(rs []*rmiRequest) {
 func (m *mailbox) popBatch(spare []*rmiRequest) []*rmiRequest {
 	m.mu.Lock()
 	for len(m.in) == 0 && !m.closed && !m.aborted {
+		m.waiting = true
 		m.cond.Wait()
+		m.waiting = false
 	}
 	if m.aborted || len(m.in) == 0 {
 		m.in = nil
@@ -82,6 +87,15 @@ func (m *mailbox) popBatch(spare []*rmiRequest) []*rmiRequest {
 	}
 	m.mu.Unlock()
 	return batch
+}
+
+// idle reports whether the consumer sleeps in popBatch with nothing queued.  An
+// empty queue alone does not say it: the consumer may hold a batch not yet run.
+func (m *mailbox) idle() bool {
+	m.mu.Lock()
+	idle := m.waiting && len(m.in) == 0 && !m.aborted
+	m.mu.Unlock()
+	return idle
 }
 
 // close wakes the consumer; pending requests are still delivered before

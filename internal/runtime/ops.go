@@ -72,6 +72,9 @@ type opEntry struct {
 	// releaseRet is release for an encoded-and-dropped reply value.  May be
 	// nil.
 	releaseRet func(v any)
+	// parks reports whether the issuer of arg waits until the handler has run
+	// (Location.borrow).  Nil when no issuer of the operation ever does.
+	parks func(arg any) bool
 }
 
 // Registration is init-time and rare while every RMI issue and every decoded
@@ -138,12 +141,16 @@ func RegisterOp[A any](name string, argCodec transport.Codec[A], exec func(obj a
 // operation is by-value only if both codecs are.  releaseRet, when non-nil, is
 // release for replies: it returns a pooled reply value to its pool after the
 // answering side encoded and dropped it (the origin's completion callback
-// recycles the decoded one).
-func RegisterOpRet[A any, R any](name string, argCodec transport.Codec[A], retCodec transport.Codec[R], exec func(obj any, loc *Location, arg A), release func(A), releaseRet func(R)) OpID {
+// recycles the decoded one).  parks, when non-nil, picks out the arguments
+// whose issuer waits until the handler has run (SyncRMI says what that allows).
+func RegisterOpRet[A any, R any](name string, argCodec transport.Codec[A], retCodec transport.Codec[R], exec func(obj any, loc *Location, arg A), release func(A), releaseRet func(R), parks func(A) bool) OpID {
 	if !retCodec.ByValue() {
 		argCodec = transport.Codec[A]{}
 	}
 	e := newOpEntry(argCodec, exec, release)
+	if parks != nil {
+		e.parks = func(arg any) bool { return parks(arg.(A)) }
+	}
 	if e.encode != nil {
 		e.encodeRet = func(b *transport.Buffer, v any) { retCodec.Encode(b, v.(R)) }
 		e.decodeRet = func(b *transport.Buffer) any { return retCodec.Decode(b) }

@@ -43,7 +43,7 @@ func init() {
 	rawGetOp = RegisterOpRet("runtime-test/raw-get", rawGetArgCodec, transport.Int64Codec,
 		func(obj any, loc *Location, a rawGetArg) {
 			loc.ReplyOp(a.origin, Handle(a.handle), rawGetOp, a.token, obj.(*counterObj).get())
-		}, nil, nil)
+		}, nil, nil, nil)
 }
 
 // TestOpRegistryIdentity pins the registry's naming contract: IDs are the

@@ -25,7 +25,7 @@ var (
 		c := arg.(*syncCall)
 		c.out = c.fn(obj, loc)
 		c.w.Wake()
-	}}
+	}, parks: func(any) bool { return true }}
 )
 
 // syncCall is the argument of a closure SyncRMI: the closure, the cell its
@@ -50,6 +50,9 @@ type rmiRequest struct {
 	delay  time.Duration
 	bytes  int
 	token  uint64 // KindReply: addresses the origin's completion callback
+	// parks: the issuer waits until the handler has run and no latency is
+	// simulated, so in-process delivery may run it on the issuing goroutine.
+	parks bool
 }
 
 // requestOverheadBytes is the simulated size of a request descriptor (the
@@ -80,6 +83,7 @@ func (l *Location) issue(dest int, h Handle, kind uint8, bytes int, op *opEntry,
 	if kind == transport.KindAsync {
 		l.enqueue(dest, req)
 	} else {
+		req.parks = op.parks != nil && l.cfg.RemoteDelay == nil && op.parks(arg)
 		l.deliverNow(dest, req)
 	}
 }
@@ -162,10 +166,12 @@ func (l *Location) AsyncRMIBulkOp(dest int, h Handle, ops, bytes int, op OpID, a
 }
 
 // SyncRMI executes fn against the representative of handle h on location
-// dest and blocks until the result is available.  Synchronous RMIs issued by
-// RMI handlers themselves must not target a location whose handler is
-// blocked on this location (the framework's own handlers never block; they
-// forward asynchronously instead).
+// dest and blocks until the result is available.  In process with no
+// RemoteDelay, fn runs on the calling goroutine if dest's server is idle, just
+// as that server would have run it; otherwise through dest's mailbox.
+// Synchronous RMIs issued by RMI handlers themselves must not target a
+// location whose handler is blocked on this location (the framework's own
+// handlers never block; they forward asynchronously instead).
 func (l *Location) SyncRMI(dest int, h Handle, fn func(obj any, loc *Location) any) any {
 	l.stats.syncRMIs.Add(1)
 	if dest == l.id {

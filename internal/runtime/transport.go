@@ -143,8 +143,12 @@ func (t inprocTransport) Deliver(src, dst int, batch []*rmiRequest) {
 	t.m.locations[dst].inbox.pushAll(batch)
 }
 
+// DeliverOne serves a request whose issuer parks on it at once when the
+// destination is idle (Location.borrow); everything else takes the mailbox.
 func (t inprocTransport) DeliverOne(src, dst int, req *rmiRequest) {
-	t.m.locations[dst].inbox.push(req)
+	if l := t.m.locations[dst]; !req.parks || !l.borrow(req) {
+		l.inbox.push(req)
+	}
 }
 
 func (t inprocTransport) Drain(time.Duration) error      { return nil }

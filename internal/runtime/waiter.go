@@ -35,8 +35,16 @@ func (w *Waiter) Wake() {
 }
 
 // Wait blocks until w is woken, or unwinds the calling goroutine if the
-// machine aborts first (the record must then not be reused).
+// machine aborts first (the record must then not be reused).  A wake-up that
+// came first (the handler may have run on this goroutine, see SyncRMI) is
+// taken without listing w as parked, and unwinds too if the machine aborted.
 func (l *Location) Wait(w *Waiter) {
+	select {
+	case <-w.ch: // Wake's: only a listed waiter is sent the abort's signal
+		l.machine.checkAbort()
+		return
+	default:
+	}
 	// The abort closes its channel, then goes over the lists: a waiter that
 	// saw the channel open while it held parkMu is listed before that.
 	l.parkMu.Lock()
